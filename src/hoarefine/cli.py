@@ -176,55 +176,64 @@ def _landmarks_checked(path: Path, vol: Volume | None) -> LandmarkSet:
     return lms
 
 
+# exception type -> exit code, first match wins; any other exception is
+# a bug and keeps its traceback
+_EXIT_CODES = {
+    RuleGeometryError: EXIT_GEOMETRY,
+    NiftiError: EXIT_IO,
+    OSError: EXIT_IO,
+    LabelError: EXIT_INVALID,
+    MetricError: EXIT_INVALID,
+    PhantomError: EXIT_INVALID,
+    ShapeModelError: EXIT_INVALID,
+    ValueError: EXIT_INVALID,
+}
+_EXPECTED = tuple(_EXIT_CODES)
+
+
+def _exit_code(exc: Exception) -> int:
+    return next(code for t, code in _EXIT_CODES.items() if isinstance(exc, t))
+
+
 # ---------------------------------------------------------------------------
 # batch workers (module level so multiprocessing can pickle them)
 
-def _fuse_one(task) -> tuple[str, str | None]:
-    in_path, out_path = task
+def _fuse_one(in_path, out_path) -> None:
+    write_volume(fuse_labels(read_volume(in_path)), out_path)
+
+
+def _refine_one(in_path, lm_path, out_path, cfg_kwargs) -> None:
+    vol = read_volume(in_path)
+    lms = _landmarks_checked(Path(lm_path), vol)
+    write_volume(refine_full(vol, lms, RefinementConfig(**cfg_kwargs)), out_path)
+
+
+def _run_task(task) -> tuple[int, str, float]:
+    """Run one subject: (exit code, error message, own seconds)."""
+    fn, *args = task
+    t0 = time.perf_counter()
     try:
-        vol = read_volume(in_path)
-        write_volume(fuse_labels(vol), out_path)
-        return out_path, None
-    except Exception as exc:  # reported and mapped by the parent
-        return out_path, f"{type(exc).__name__}: {exc}"
+        fn(*args)
+    except _EXPECTED as exc:  # reported by the parent
+        return _exit_code(exc), str(exc), time.perf_counter() - t0
+    return EXIT_OK, "", time.perf_counter() - t0
 
 
-def _refine_one(task) -> tuple[str, str | None]:
-    in_path, lm_path, out_path, cfg_kwargs = task
-    try:
-        vol = read_volume(in_path)
-        lms = _landmarks_checked(Path(lm_path), vol)
-        out = refine_full(vol, lms, RefinementConfig(**cfg_kwargs))
-        write_volume(out, out_path)
-        return out_path, None
-    except Exception as exc:
-        return out_path, f"{type(exc).__name__}: {exc}"
-
-
-_WORKER_EXIT = {
-    "NiftiError": EXIT_IO,
-    "NiftiFormatError": EXIT_IO,
-    "OSError": EXIT_IO,
-    "FileNotFoundError": EXIT_IO,
-    "RuleGeometryError": EXIT_GEOMETRY,
-}
-
-
-def _run_batch(worker, tasks, jobs: int):
+def _run_batch(tasks, jobs: int):
     if jobs <= 1 or len(tasks) == 1:
-        return [worker(t) for t in tasks]
+        return [_run_task(t) for t in tasks]
     with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-        return pool.map(worker, tasks)
+        return pool.map(_run_task, tasks)
 
 
-def _batch_exit(results, command: str) -> int:
+def _batch_exit(outputs, results, command: str) -> int:
     code = EXIT_OK
-    for out_path, err in results:
-        if err is None:
+    for out, (task_code, err, _) in zip(outputs, results):
+        if task_code == EXIT_OK:
             continue
-        _fail(f"{command} {out_path}: {err}")
+        _fail(f"{command} {out}: {err}")
         if code == EXIT_OK:  # first failure decides the exit code
-            code = _WORKER_EXIT.get(err.split(":", 1)[0], EXIT_INVALID)
+            code = task_code
     return code
 
 
@@ -232,37 +241,29 @@ def _batch_exit(results, command: str) -> int:
 # subcommands
 
 def cmd_fuse(args) -> int:
-    t0 = time.perf_counter()
     inputs = _collect_inputs(args.input)
     batch = len(inputs) > 1
-    tasks = [(str(p), str(_out_path_for(p, args.output, batch))) for p in inputs]
-    results = _run_batch(_fuse_one, tasks, args.jobs)
-    code = _batch_exit(results, "fuse")
-    elapsed = time.perf_counter() - t0
-    for (in_path, out_path), (_, err) in zip(tasks, results):
-        if err is None:
-            _write_manifest(Path(out_path), "fuse", [in_path], elapsed=elapsed)
-    return code
+    outputs = [_out_path_for(p, args.output, batch) for p in inputs]
+    results = _run_batch([(_fuse_one, str(p), str(out))
+                          for p, out in zip(inputs, outputs)], args.jobs)
+    for p, out, (code, _, elapsed) in zip(inputs, outputs, results):
+        if code == EXIT_OK:
+            _write_manifest(out, "fuse", [p], elapsed=elapsed)
+    return _batch_exit(outputs, results, "fuse")
 
 
 def cmd_refine(args) -> int:
-    t0 = time.perf_counter()
     cfg = resolve_config(args)
     inputs = _collect_inputs(args.input)
     batch = len(inputs) > 1
-    tasks = []
-    for p in inputs:
-        lm_path = _landmarks_path_for(p, args.landmarks)
-        out = _out_path_for(p, args.output, batch)
-        tasks.append((str(p), str(lm_path), str(out), dataclasses.asdict(cfg)))
-    results = _run_batch(_refine_one, tasks, args.jobs)
-    code = _batch_exit(results, "refine")
-    elapsed = time.perf_counter() - t0
-    for (in_path, lm_path, out_path, _), (_, err) in zip(tasks, results):
-        if err is None:
-            _write_manifest(Path(out_path), "refine", [in_path, lm_path],
-                            config=cfg, elapsed=elapsed)
-    return code
+    lm_paths = [_landmarks_path_for(p, args.landmarks) for p in inputs]
+    outputs = [_out_path_for(p, args.output, batch) for p in inputs]
+    results = _run_batch([(_refine_one, str(p), str(lm), str(out), dataclasses.asdict(cfg))
+                          for p, lm, out in zip(inputs, lm_paths, outputs)], args.jobs)
+    for p, lm, out, (code, _, elapsed) in zip(inputs, lm_paths, outputs, results):
+        if code == EXIT_OK:
+            _write_manifest(out, "refine", [p, lm], config=cfg, elapsed=elapsed)
+    return _batch_exit(outputs, results, "refine")
 
 
 def cmd_evaluate(args) -> int:
@@ -571,16 +572,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RuleGeometryError as exc:
+    except _EXPECTED as exc:
         _fail(str(exc))
-        return EXIT_GEOMETRY
-    except (NiftiError, OSError) as exc:
-        _fail(str(exc))
-        return EXIT_IO
-    except (LabelError, MetricError, PhantomError, ShapeModelError,
-            ValueError) as exc:
-        _fail(str(exc))
-        return EXIT_INVALID
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -96,12 +96,6 @@ FUSE_LUT = np.array(
     dtype=np.int64,
 )
 
-# fine ids grouped by the fused id they collapse to
-FINE_FOR_FUSED = {
-    fused: tuple(int(f) for f in np.flatnonzero(FUSE_LUT == fused))
-    for fused in FUSED_LABELS
-}
-
 # fused ids whose fine members are hemisphere-specific vs midline
 BILATERAL_FUSED = frozenset({1, 5, 6, 7, 9, 10, 11, 12})
 MIDLINE_FUSED = frozenset({2, 3, 4, 8})
@@ -130,6 +124,24 @@ FALLBACK_PAIRS = {
     5: (10, 11),   # NAcc + PUT -> PUT
     12: (25, 26),  # VDC -> posterior part
 }
+
+
+def _pass_table() -> np.ndarray:
+    table = np.zeros((3, len(FUSED_LABELS) + 1), dtype=np.int16)
+    for fused in MIDLINE_FUSED:
+        (table[0, fused],) = np.flatnonzero(FUSE_LUT == fused)
+    for fused, pair in {**HEMI_PAIRS, **FALLBACK_PAIRS}.items():
+        table[1:, fused] = pair
+    return table
+
+
+# (hemisphere tag 0/1/2, fused id) -> the fine id refinement starts a
+# voxel from: tag 0 (untagged) maps each midline structure to its one
+# fine id, tags 1/2 map each bilateral structure to its left/right
+# member, which for the landmark-split groups is the FALLBACK_PAIRS
+# member.  Unused entries (bilateral untagged, midline tagged) are 0.
+PASS_TABLE = _pass_table()
+assert set(HEMI_PAIRS) | set(FALLBACK_PAIRS) == BILATERAL_FUSED
 
 
 class LabelError(Exception):
@@ -206,8 +218,11 @@ class LandmarkSet:
             lid = int(lid)
             if lid not in LANDMARKS:
                 raise LabelError(f"unknown landmark id {lid}")
-            arr = np.asarray(xyz, dtype=np.float64)
-            if arr.shape != (3,) or not np.all(np.isfinite(arr)):
+            try:
+                arr = np.asarray(xyz, dtype=np.float64)
+            except (TypeError, ValueError):
+                arr = None
+            if arr is None or arr.shape != (3,) or not np.all(np.isfinite(arr)):
                 raise LabelError(f"landmark {lid} needs a finite 3-vector, got {xyz!r}")
             arr.setflags(write=False)
             pts[lid] = arr
@@ -265,7 +280,8 @@ def parse_landmarks(path: str | Path) -> LandmarkSet:
     if path.suffix.lower() == ".json":
         with open(path) as f:
             doc = json.load(f)
-        if doc.get("space") != "world_mm" or doc.get("frame") != "RAS":
+        if (not isinstance(doc, dict) or doc.get("space") != "world_mm"
+                or doc.get("frame") != "RAS"):
             raise LabelError(
                 f"{path}: landmark file must declare space=world_mm frame=RAS")
         entries = doc.get("landmarks")
@@ -273,7 +289,12 @@ def parse_landmarks(path: str | Path) -> LandmarkSet:
             raise LabelError(f"{path}: missing landmarks list")
         points = {}
         for e in entries:
-            lid = int(e["id"])
+            if not isinstance(e, dict) or not {"id", "xyz"} <= e.keys():
+                raise LabelError(f"{path}: landmark entry {e!r} needs 'id' and 'xyz'")
+            try:
+                lid = int(e["id"])
+            except (TypeError, ValueError):
+                raise LabelError(f"{path}: landmark id {e['id']!r} is not an integer") from None
             _check_name(path, lid, e.get("name"))
             if lid in points:
                 raise LabelError(f"{path}: duplicate landmark id {lid}")
@@ -282,12 +303,18 @@ def parse_landmarks(path: str | Path) -> LandmarkSet:
     if path.suffix.lower() == ".csv":
         points = {}
         with open(path, newline="") as f:
-            for row in csv.DictReader(f):
-                lid = int(row["id"])
+            reader = csv.DictReader(f)
+            for row in reader:
+                try:
+                    lid = int(row["id"])
+                    xyz = (float(row["x"]), float(row["y"]), float(row["z"]))
+                except (KeyError, TypeError, ValueError):
+                    raise LabelError(f"{path}: line {reader.line_num} needs an "
+                                     "integer id and numeric x, y, z") from None
                 _check_name(path, lid, row.get("name"))
                 if lid in points:
                     raise LabelError(f"{path}: duplicate landmark id {lid}")
-                points[lid] = (float(row["x"]), float(row["y"]), float(row["z"]))
+                points[lid] = xyz
         if not points:
             raise LabelError(f"{path}: no landmark rows")
         return LandmarkSet(points)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -169,14 +170,6 @@ class Volume:
                       scl_slope=self.scl_slope, scl_inter=self.scl_inter)
 
 
-def voxel_to_world(vol: Volume, ijk) -> np.ndarray:
-    return vol.voxel_to_world(ijk)
-
-
-def world_to_voxel(vol: Volume, xyz) -> np.ndarray:
-    return vol.world_to_voxel(xyz)
-
-
 def read_volume(path: str | Path) -> Volume:
     """Read a ``.nii`` or ``.nii.gz`` file into a :class:`Volume`.
 
@@ -189,6 +182,8 @@ def read_volume(path: str | Path) -> Volume:
         raw = _read_bytes(path)
     except OSError as exc:
         raise NiftiError(f"cannot read {path}: {exc}") from exc
+    except (EOFError, zlib.error) as exc:  # truncated or corrupt gzip stream
+        raise NiftiFormatError(f"{path}: damaged gzip data: {exc}") from exc
     if len(raw) < HDR_SIZE:
         raise NiftiFormatError(f"{path}: file shorter than a NIfTI-1 header")
 

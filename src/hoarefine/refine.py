@@ -31,9 +31,10 @@ import scipy.ndimage as ndi
 
 from .labels import (
     BILATERAL_FUSED,
+    FALLBACK_PAIRS,
     FINE_LABELS,
-    HEMI_PAIRS,
     LANDMARKS,
+    PASS_TABLE,
     LabelError,
     LandmarkSet,
     MIDSAGITTAL_IDS,
@@ -204,31 +205,26 @@ def split_hemispheres(
         hemi[idx] = assign(s)
         return hemi
 
-    # lateral shift unit: one voxel width along x
-    h = vol12.spacing[0]
+    # Each slice takes the shift d whose tags match the previous
+    # non-empty slice's tags at the most (i, k) positions; ties go to the
+    # smaller |d|, then to the negative d.  Untagged positions hold 0 in
+    # ``prev`` and so never match.
+    h = vol12.spacing[0]  # lateral shift unit: one voxel width along x
     ii, jj, kk = idx
-    prev: dict[tuple[int, int], int] = {}
-    for j in np.unique(jj):
-        in_slice = jj == j
-        si = s[in_slice]
-        ci = ii[in_slice]
-        ck = kk[in_slice]
-        best_tags = None
-        best = (-1, 0, 0)  # (agreement, -|d| preference handled in key)
+    order = np.argsort(jj, kind="stable")
+    js, starts = np.unique(jj[order], return_index=True)
+    prev = None
+    for j, group in zip(js, np.split(order, starts[1:])):
+        ci, ck, si = ii[group], kk[group], s[group]
+        best_key, best_tags = None, None
         for d in (-2, -1, 0, 1, 2):
             tags = assign(si, d * h)
-            agree = 0
-            if prev:
-                for i0, k0, t in zip(ci, ck, tags):
-                    p = prev.get((int(i0), int(k0)))
-                    if p is not None and p == t:
-                        agree += 1
+            agree = 0 if prev is None else np.count_nonzero(prev[ci, ck] == tags)
             key = (agree, -abs(d), -d)
-            if best_tags is None or key > best:
-                best = key
-                best_tags = tags
-        hemi[ci, np.full(ci.shape, j), ck] = best_tags
-        prev = {(int(i0), int(k0)): int(t) for i0, k0, t in zip(ci, ck, best_tags)}
+            if best_key is None or key > best_key:
+                best_key, best_tags = key, tags
+        hemi[ci, j, ck] = best_tags
+        prev = hemi[:, j, :]
     return hemi
 
 
@@ -253,11 +249,27 @@ def _separator_x(cfg, x_ant, y_ant, x_post, y_post, ys: np.ndarray) -> np.ndarra
     return x_post + t * (x_ant - x_post)
 
 
-# per side: hemisphere tag, (NAcc id, Put id), (anterior, posterior) contact ids
-_NACC_PUT_SIDES = (
-    (1, (6, 10), (3, 5)),
-    (2, (7, 11), (4, 6)),
-)
+def _rule_sides(partial, vol12, fused, hemi, lms, cfg, side_landmarks):
+    """Yield (side, mask, landmark ids) for each side a rule splits.
+
+    Side 0 is left (hemisphere tag 1), side 1 right (tag 2);
+    ``side_landmarks[side]`` holds the landmark ids the side's rule
+    reads.  Every voxel of a non-empty side first gets the group's
+    fallback member from FALLBACK_PAIRS, and the rule then writes the
+    voxels it moves to the other member.  A side whose landmarks are
+    missing keeps the fallback under partial_rules and raises LabelError
+    otherwise.
+    """
+    in_group = vol12.data == fused
+    for side, (fallback, ids) in enumerate(zip(FALLBACK_PAIRS[fused], side_landmarks)):
+        m = in_group & (hemi == side + 1)
+        if not m.any():
+            continue
+        partial[m] = fallback
+        if all(i in lms for i in ids):
+            yield side, m, ids
+        elif not cfg.partial_rules:
+            lms.require(ids)
 
 
 def separate_nacc_putamen(
@@ -276,17 +288,9 @@ def separate_nacc_putamen(
     (|x| < |separator x|) become accumbens, the rest putamen.
     """
     cfg = cfg or RefinementConfig()
-    data = vol12.data
-    partial = np.zeros(data.shape, dtype=np.int16) if partial is None else partial.copy()
-    for tag, (nacc_id, put_id), (ant_id, post_id) in _NACC_PUT_SIDES:
-        m = (data == 5) & (hemi == tag)
-        if not m.any():
-            continue
-        if ant_id not in lms or post_id not in lms:
-            if cfg.partial_rules:
-                partial[m] = put_id
-                continue
-            lms.require((ant_id, post_id))
+    partial = np.zeros(vol12.dims, dtype=np.int16) if partial is None else partial.copy()
+    contacts = ((3, 5), (4, 6))  # (anterior, posterior) per side
+    for side, m, (ant_id, post_id) in _rule_sides(partial, vol12, 5, hemi, lms, cfg, contacts):
         x_ant, y_ant = float(lms[ant_id][0]), float(lms[ant_id][1])
         x_post, y_post = float(lms[post_id][0]), float(lms[post_id][1])
         if not y_ant > y_post:
@@ -300,8 +304,7 @@ def separate_nacc_putamen(
                                      _slice_center_y(vol12, js))
         sep = sep_per_slice[np.searchsorted(js, idx[1])]
         nacc = np.abs(xs) < np.abs(sep)
-        vals = np.where(nacc, np.int16(nacc_id), np.int16(put_id))
-        partial[idx] = vals
+        partial[tuple(a[nacc] for a in idx)] = (6, 7)[side]
     return partial
 
 
@@ -371,22 +374,11 @@ def split_vdc(
     """
     cfg = cfg or RefinementConfig()
     partial = partial.copy()
-    data = vol12.data
-    ny = partial.shape[1]
-    jgrid = np.arange(ny, dtype=np.int64)[None, :, None]
-    for tag, lm_id, (a_id, p_id) in ((1, 11, (23, 25)), (2, 12, (24, 26))):
-        m = (data == 12) & (hemi == tag)
-        if not m.any():
-            continue
-        if lm_id not in lms:
-            if cfg.partial_rules:
-                partial[m] = p_id
-                continue
-            lms.require((lm_id,))
+    jgrid = np.arange(partial.shape[1], dtype=np.int64)[None, :, None]
+    for side, m, (lm_id,) in _rule_sides(partial, vol12, 12, hemi, lms, cfg, ((11,), (12,))):
         j_mb = coronal_slice_index(vol12, lms[lm_id])
         ant = jgrid > j_mb if cfg.vdc_anterior_strict else jgrid >= j_mb
-        partial[m & ant] = a_id
-        partial[m & ~ant] = p_id
+        partial[m & ant] = (23, 24)[side]
     return partial
 
 
@@ -409,71 +401,47 @@ def split_lv_ih(
     """
     cfg = cfg or RefinementConfig()
     partial = partial.copy()
-    data = vol12.data
     ny = partial.shape[1]
-    for tag, lm_id, (lv_id, ih_id) in ((1, 13, (1, 17)), (2, 14, (2, 18))):
-        m = (data == 1) & (hemi == tag)
-        if not m.any():
-            continue
-        if lm_id not in lms:
-            if cfg.partial_rules:
-                partial[m] = lv_id
-                continue
-            lms.require((lm_id,))
+    for side, m, (lm_id,) in _rule_sides(partial, vol12, 1, hemi, lms, cfg, ((13,), (14,))):
         j_ih = coronal_slice_index(vol12, lms[lm_id])
-        partial[m] = lv_id
         lm_x, _, lm_z = (float(v) for v in lms[lm_id])
-
         prev_ih = None
-        ended = False
         for j in range(max(j_ih + 1, 0), ny):
             sl = m[:, j, :]
             if not sl.any():
                 if prev_ih is not None:
-                    ended = True  # gap breaks 26-connectivity
+                    break  # a gap breaks 26-connectivity
                 continue
-            if ended:
-                break  # remaining anterior slices stay LV
             comps, n = ndi.label(sl, structure=_CROSS_2D)
             if prev_ih is None:
-                pick = _component_nearest(vol12, comps, n, j, lm_x, lm_z)
+                ids = np.arange(1, n + 1)
+                w = _centroids_world(vol12, comps, ids, j)
+                pick = ids[np.argmin(np.hypot(w[:, 0] - lm_x, w[:, 2] - lm_z))]
             else:
                 reach = ndi.binary_dilation(prev_ih, structure=_FULL_2D)
-                cand = np.unique(comps[reach & (comps > 0)])
-                if cand.size == 0:
-                    ended = True
-                    continue
-                pick = _component_most_inferior(vol12, comps, cand, j)
-            ih2d = comps == pick
-            ii, kk = np.nonzero(ih2d)
-            partial[ii, np.full(ii.shape, j), kk] = ih_id
-            prev_ih = ih2d
+                ids = np.unique(comps[reach & (comps > 0)])
+                if ids.size == 0:
+                    break
+                pick = ids[np.argmin(_centroids_world(vol12, comps, ids, j)[:, 2])]
+            prev_ih = comps == pick
+            partial[:, j, :][prev_ih] = (17, 18)[side]
     return partial
 
 
-def _component_centroid_world(vol12, comps, comp_id, j):
-    ii, kk = np.nonzero(comps == comp_id)
-    centroid = np.array([ii.mean(), float(j), kk.mean()])
-    return vol12.voxel_to_world(centroid)
+def _centroids_world(vol12: Volume, comps: np.ndarray, ids: np.ndarray, j: int) -> np.ndarray:
+    """World centroids, shape (len(ids), 3), of components ``ids`` in slice j.
 
-
-def _component_nearest(vol12, comps, n, j, lm_x, lm_z):
-    best, best_d = None, np.inf
-    for c in range(1, n + 1):
-        w = _component_centroid_world(vol12, comps, c, j)
-        d = float(np.hypot(w[0] - lm_x, w[2] - lm_z))
-        if d < best_d:
-            best, best_d = c, d
-    return best
-
-
-def _component_most_inferior(vol12, comps, cand, j):
-    best, best_z = None, np.inf
-    for c in cand:
-        z = float(_component_centroid_world(vol12, comps, int(c), j)[2])
-        if z < best_z:
-            best, best_z = int(c), z
-    return best
+    The index sums are integers and so exact in float64.  Each centroid
+    is mapped on its own because a batched matrix product may round
+    differently from the single-point one, and ties between candidates
+    must break the same way whatever their number.
+    """
+    ii, kk = np.nonzero(comps)
+    lab = comps[ii, kk]
+    count = np.bincount(lab)[ids]
+    ci = np.bincount(lab, weights=ii)[ids] / count
+    ck = np.bincount(lab, weights=kk)[ids] / count
+    return np.array([vol12.voxel_to_world((a, float(j), b)) for a, b in zip(ci, ck)])
 
 
 def refine_full(
@@ -502,23 +470,14 @@ def refine_full(
     plane = build_midsagittal_plane(lms)
     data = can.data
     hemi = split_hemispheres(can, plane, cfg)
-
-    partial = np.zeros(data.shape, dtype=np.int16)
-    for fused, (left_id, right_id) in HEMI_PAIRS.items():
-        m = data == fused
-        partial[m & (hemi == 1)] = left_id
-        partial[m & (hemi == 2)] = right_id
+    # every voxel starts at its group's hemisphere (or midline) member;
+    # the landmark rules below then move voxels within their group
+    partial = PASS_TABLE[hemi, data]
 
     partial = separate_nacc_putamen(can, lms, hemi, cfg, partial=partial)
     partial = apply_coronal_extents(partial, can, lms, cfg)
     partial = split_vdc(partial, can, lms, hemi, cfg)
     partial = split_lv_ih(partial, can, lms, hemi, cfg)
-
-    # midline structures pass through unchanged, except voxels a rule
-    # already claimed (third-ventricle exclusion writes CSF first)
-    for fused, fine in ((2, 3), (3, 4), (4, 5), (8, 14)):
-        m = (data == fused) & (partial == 0)
-        partial[m] = fine
 
     if not np.array_equal(partial != 0, data != 0):
         raise AssertionError("refinement changed the foreground mask")

@@ -1,16 +1,21 @@
 """End-to-end command line behavior, exit codes, and manifests."""
 
 import json
+import shutil
+import time
 
 import numpy as np
 import pytest
 
 from hoarefine import (
     LandmarkSet,
+    Volume,
     degrade_phantom,
     generate_phantom,
+    parse_landmarks,
     read_volume,
     write_landmarks,
+    write_volume,
 )
 from hoarefine.cli import main
 
@@ -76,6 +81,24 @@ class TestPipeline:
         for seed in (0, 1, 2):
             name = f"p{seed}.nii"
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["fuse", "refine"])
+    def test_manifest_elapsed_is_per_subject(self, work, tmp_path, command):
+        src = tmp_path / "in"
+        src.mkdir()
+        folder = "src" if command == "fuse" else "fused"
+        for name in ("p0.nii", "p1.nii"):
+            shutil.copy(work / folder / name, src / name)
+        argv = [command, str(src), str(tmp_path / "out"), "--jobs", "1"]
+        if command == "refine":
+            argv += ["--landmarks", str(work / "lm")]
+        t0 = time.perf_counter()
+        assert main(argv) == 0
+        wall = time.perf_counter() - t0
+        elapsed = [json.loads((tmp_path / "out" / f"{name}.manifest.json")
+                              .read_text())["elapsed_s"] for name in ("p0.nii", "p1.nii")]
+        assert all(e > 0 for e in elapsed)
+        assert sum(elapsed) <= wall + 0.001  # each value is rounded to 1 ms
 
     def test_single_file_output_name_kept(self, work, tmp_path):
         out = tmp_path / "custom_name.nii.gz"
@@ -183,6 +206,53 @@ class TestExitCodes:
                      str(tmp_path / "out.nii"), "--landmarks", str(lm_path)])
         assert code == 2
         assert "16" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command, defect, code", [
+        ("fuse", "truncated-gz", 1),
+        ("refine", "truncated-gz", 1),
+        ("evaluate", "truncated-gz", 1),
+        ("refine", "oblique-affine", 1),
+        ("evaluate", "oblique-affine", 1),
+        ("refine", "landmark-without-xyz", 2),
+        ("evaluate", "landmark-without-xyz", 2),
+        ("refine", "landmark-without-id", 2),
+        ("evaluate", "landmark-without-id", 2),
+    ])
+    def test_malformed_input_is_one_line(self, work, tmp_path, capsys,
+                                         command, defect, code):
+        vol = work / ("fused" if command == "refine" else "src") / "p0.nii"
+        lm = work / "lm" / "p0.json"
+        if defect == "truncated-gz":
+            gz = tmp_path / "in.nii.gz"
+            write_volume(read_volume(vol), gz)
+            raw = gz.read_bytes()
+            gz.write_bytes(raw[:len(raw) // 2])
+            vol = gz
+        elif defect == "oblique-affine":
+            # 45 degrees about y: two stored axes tie for world x
+            c = np.sqrt(0.5)
+            rot = np.array([[c, 0, c], [0, 1, 0], [-c, 0, c]])
+            src = read_volume(vol)
+            lms = parse_landmarks(lm)
+            vol, lm = tmp_path / "oblique.nii", tmp_path / "oblique.json"
+            affine = np.eye(4)
+            affine[:3] = rot @ src.affine[:3]
+            write_volume(Volume(src.data, affine, taxonomy=src.taxonomy), vol)
+            write_landmarks(LandmarkSet({i: rot @ lms[i] for i in lms.ids}), lm)
+        else:
+            doc = json.loads(lm.read_text())
+            del doc["landmarks"][0][defect.rsplit("-", 1)[1]]
+            lm = tmp_path / "broken.json"
+            lm.write_text(json.dumps(doc))
+        out = str(tmp_path / "out.nii")
+        argv = {"fuse": ["fuse", str(vol), out],
+                "refine": ["refine", str(vol), out, "--landmarks", str(lm)],
+                "evaluate": ["evaluate", str(vol), str(vol),
+                             "--landmarks", str(lm)]}[command]
+        capsys.readouterr()
+        assert main(argv) == code
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 class TestConfigPrecedence:

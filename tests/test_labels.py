@@ -118,6 +118,19 @@ def test_landmark_csv_round_trip(tmp_path, phantom0):
         assert np.array_equal(back[lid], lms[lid])
 
 
+@pytest.mark.parametrize("text", [
+    "id,name,x,y\n10,AC,0,1\n",       # no z column
+    "id,name,x,y,z\n10,AC,0,1\n",     # short row
+    "id,name,x,y,z\nten,AC,0,1,2\n",  # id not an integer
+    "id,name,x,y,z\n10,AC,0,one,2\n",  # coordinate not a number
+])
+def test_parse_landmarks_csv_errors(tmp_path, text):
+    p = tmp_path / "a.csv"
+    p.write_text(text)
+    with pytest.raises(LabelError, match="line 2"):
+        parse_landmarks(p)
+
+
 def test_parse_landmarks_json_errors(tmp_path):
     good = ('{"space": "world_mm", "frame": "RAS", "landmarks": '
             '[{"id": 10, "name": "AC", "xyz": [0.0, 1.0, 2.0]}]}')
@@ -137,6 +150,19 @@ def test_parse_landmarks_json_errors(tmp_path):
                                '"xyz": [1.0, 1.0, 2.0]}]'))
     p.write_text(dup)
     with pytest.raises(LabelError, match="duplicate"):
+        parse_landmarks(p)
+    for broken in ('"id": 10, ', ', "xyz": [0.0, 1.0, 2.0]'):
+        p.write_text(good.replace(broken, ""))
+        with pytest.raises(LabelError, match="needs 'id' and 'xyz'"):
+            parse_landmarks(p)
+    p.write_text(good.replace('"id": 10', '"id": [10]'))
+    with pytest.raises(LabelError, match="not an integer"):
+        parse_landmarks(p)
+    p.write_text(good.replace("[0.0, 1.0, 2.0]", '{"x": 0}'))
+    with pytest.raises(LabelError, match="finite 3-vector"):
+        parse_landmarks(p)
+    p.write_text("[]")
+    with pytest.raises(LabelError, match="space"):
         parse_landmarks(p)
     p2 = tmp_path / "a.txt"
     p2.write_text("whatever")
