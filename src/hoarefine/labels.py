@@ -291,10 +291,12 @@ def parse_landmarks(path: str | Path) -> LandmarkSet:
         for e in entries:
             if not isinstance(e, dict) or not {"id", "xyz"} <= e.keys():
                 raise LabelError(f"{path}: landmark entry {e!r} needs 'id' and 'xyz'")
-            try:
-                lid = int(e["id"])
-            except (TypeError, ValueError):
-                raise LabelError(f"{path}: landmark id {e['id']!r} is not an integer") from None
+            lid = e["id"]
+            # bool is an int subclass; 3.0 is an integer, 3.7 and "3" are not
+            if isinstance(lid, bool) or not (
+                    isinstance(lid, int) or isinstance(lid, float) and lid.is_integer()):
+                raise LabelError(f"{path}: landmark id {lid!r} is not an integer")
+            lid = int(lid)
             _check_name(path, lid, e.get("name"))
             if lid in points:
                 raise LabelError(f"{path}: duplicate landmark id {lid}")

@@ -29,6 +29,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.ndimage as ndi
 from scipy.spatial import cKDTree
 from scipy.stats import norm
 
@@ -50,17 +51,58 @@ class MetricUndefinedError(MetricError):
 # ---------------------------------------------------------------------------
 # overlap
 
-def dice(pred: Volume, gt: Volume, label: int) -> float:
-    """Dice overlap of one label: 2|P&G| / (|P|+|G|); both-empty = 1.0."""
-    p = np.asarray(pred.data) == label
-    g = np.asarray(gt.data) == label
-    if p.shape != g.shape:
-        raise MetricError(f"dimension mismatch: {p.shape} vs {g.shape}")
-    denom = int(p.sum()) + int(g.sum())
+# confusion-matrix side: background plus the fine labels 1..26
+N_CLASSES = max(FINE_NAME) + 1
+# voxels per bincount slab; bincount copies its input to intp, so this
+# bounds that copy to 8 MB instead of 8 bytes per voxel of the volume
+_SLAB_VOXELS = 1 << 20
+
+
+def _fine_data(vol: Volume, role: str) -> np.ndarray:
+    """The volume's labels, checked to lie in the fine taxonomy 0..26."""
+    data = np.asarray(vol.data)
+    if not vol.is_label:
+        raise MetricError(f"{role} volume needs integer labels, got {data.dtype}")
+    if data.size:
+        lo, hi = int(data.min()), int(data.max())
+        if lo < 0 or hi >= N_CLASSES:
+            raise MetricError(
+                f"{role} volume holds label {lo if lo < 0 else hi}, outside "
+                f"the fine taxonomy 0..{N_CLASSES - 1}")
+    return data
+
+
+def _confusion(pred: Volume, gt: Volume) -> np.ndarray:
+    """Voxel counts of each (predicted, reference) label pair, 27 x 27.
+
+    One bincount of ``pred * 27 + gt`` (Taha & Hanbury 2015), run slab
+    by slab in int16.
+    """
+    if pred.dims != gt.dims:
+        raise MetricError(f"dimension mismatch: {pred.dims} vs {gt.dims}")
+    p, g = _fine_data(pred, "predicted"), _fine_data(gt, "reference")
+    counts = np.zeros(N_CLASSES * N_CLASSES, dtype=np.int64)
+    step = max(1, _SLAB_VOXELS // max(1, p[0].size))
+    for i in range(0, p.shape[0], step):
+        pair = p[i:i + step] * np.int16(N_CLASSES)  # at least int16: no uint8 wrap
+        pair += g[i:i + step]
+        counts += np.bincount(pair.ravel(), minlength=counts.size)
+    return counts.reshape(N_CLASSES, N_CLASSES)
+
+
+def _dice(confusion: np.ndarray, label: int) -> float:
+    denom = int(confusion[label].sum()) + int(confusion[:, label].sum())
     if denom == 0:
         logger.warning("dice(label=%d): both masks empty, returning 1.0", label)
         return 1.0
-    return 2.0 * int(np.logical_and(p, g).sum()) / denom
+    return 2.0 * int(confusion[label, label]) / denom
+
+
+def dice(pred: Volume, gt: Volume, label: int) -> float:
+    """Dice overlap of one label: 2|P&G| / (|P|+|G|); both-empty = 1.0."""
+    if not 0 <= label < N_CLASSES:
+        raise MetricError(f"label {label} outside the fine taxonomy 0..{N_CLASSES - 1}")
+    return _dice(_confusion(pred, gt), label)
 
 
 # ---------------------------------------------------------------------------
@@ -124,18 +166,18 @@ def _surface_slice(vol: Volume, bside: BoundarySide, surface: str,
     return j + 1 if surface == "posterior" else j - 1
 
 
-def extract_protocol_surface(gt: Volume, spec: BoundarySpec, lms: LandmarkSet,
-                             side: str) -> np.ndarray:
-    """World-mm voxel centers of the GT label's protocol boundary face.
+def _box(vol: Volume, label: int):
+    """Bounding box of label in vol (a tuple of slices), None when absent."""
+    if not vol.is_label:
+        raise MetricError(f"metrics need integer labels, got {vol.data.dtype}")
+    boxes = vol.label_boxes
+    return boxes[label - 1] if 0 < label <= len(boxes) else None
 
-    Coronal surfaces are the label's voxels on the landmark plane slice
-    (shifted one slice toward the structure for exclusive boundaries).
-    Lateral surfaces are, per coronal slice containing both the label
-    and its neighbor, the row-wise label voxel closest to the separator:
-    the most lateral voxel of a medial structure and vice versa.
-    """
+
+def _surface_voxels(can: Volume, spec: BoundarySpec, lms: LandmarkSet,
+                    side: str) -> np.ndarray:
+    """(N, 3) canonical voxel indices of the label's protocol boundary face."""
     bside = spec.side(side)
-    can, _ = reorient_to_canonical(gt)
     data = can.data
     if spec.surface in ("anterior", "posterior"):
         j = _surface_slice(can, bside, spec.surface, lms)
@@ -148,36 +190,76 @@ def extract_protocol_surface(gt: Volume, spec: BoundarySpec, lms: LandmarkSet,
             raise MetricUndefinedError(
                 f"{spec.region} ({spec.surface}, {side}): label {bside.label} "
                 f"absent at plane slice {j}")
-        idx = (ii, np.full(ii.shape, j), kk)
-        return can.voxel_to_world(np.stack(idx, axis=1).astype(np.float64))
+        return np.stack((ii, np.full(ii.shape, j), kk), axis=1)
 
     if spec.surface != "lateral":
         raise MetricError(f"unknown surface kind {spec.surface!r}")
-    pts = []
+    box, nbox = _box(can, bside.label), _box(can, bside.neighbor)
+    if box is None or nbox is None:
+        raise MetricUndefinedError(
+            f"{spec.region} (lateral, {side}): no slice contains both label "
+            f"{bside.label} and neighbor {bside.neighbor}")
+    with_neighbor = np.zeros(data.shape[1], dtype=bool)
+    with_neighbor[nbox[1]] = (data[nbox] == bside.neighbor).any(axis=(0, 2))
+    mask = (data[box] == bside.label) & with_neighbor[box[1]][None, :, None]
     nx = data.shape[0]
     xs_axis = can.voxel_to_world(
         np.column_stack([np.arange(nx, dtype=np.float64),
                          np.zeros(nx), np.zeros(nx)]))[:, 0]
-    for j in range(data.shape[1]):
-        sl_label = data[:, j, :] == bside.label
-        if not sl_label.any() or not (data[:, j, :] == bside.neighbor).any():
-            continue
-        for k in np.unique(np.nonzero(sl_label)[1]):
-            col = np.nonzero(sl_label[:, k])[0]
-            absx = np.abs(xs_axis[col])
-            pick = col[np.argmax(absx)] if _is_medial(bside) else col[np.argmin(absx)]
-            pts.append((pick, j, int(k)))
-    if not pts:
+    absx = np.abs(xs_axis[box[0]])[:, None, None]
+    # per (j, k) row, the label voxel nearest the separator (lowest i on
+    # ties): the most lateral one of a medial structure and vice versa
+    if _is_medial(bside):
+        pick = np.where(mask, absx, -np.inf).argmax(axis=0)
+    else:
+        pick = np.where(mask, absx, np.inf).argmin(axis=0)
+    jj, kk = np.nonzero(mask.any(axis=0))
+    if jj.size == 0:
         raise MetricUndefinedError(
             f"{spec.region} (lateral, {side}): no slice contains both label "
             f"{bside.label} and neighbor {bside.neighbor}")
-    return can.voxel_to_world(np.asarray(pts, dtype=np.float64))
+    return np.stack((pick[jj, kk] + box[0].start, jj + box[1].start,
+                     kk + box[2].start), axis=1)
+
+
+def extract_protocol_surface(gt: Volume, spec: BoundarySpec, lms: LandmarkSet,
+                             side: str) -> np.ndarray:
+    """World-mm voxel centers of the GT label's protocol boundary face.
+
+    Coronal surfaces are the label's voxels on the landmark plane slice
+    (shifted one slice toward the structure for exclusive boundaries).
+    Lateral surfaces are, per coronal slice containing both the label
+    and its neighbor, the row-wise label voxel closest to the separator:
+    the most lateral voxel of a medial structure and vice versa.
+    """
+    can, _ = reorient_to_canonical(gt)
+    return can.voxel_to_world(
+        _surface_voxels(can, spec, lms, side).astype(np.float64))
 
 
 def _is_medial(bside: BoundarySide) -> bool:
     # NAcc sits medial to Put; the medial structure's separator face is
     # its most lateral row voxel
     return bside.label in (6, 7)
+
+
+def _shell_is_exact(affine: np.ndarray) -> bool:
+    """Whether a mask's 6-connected shell holds the nearest mask voxel of
+    every grid point outside the mask.
+
+    Take an interior voxel p, a grid point q = p + v (v a nonzero integer
+    step), spacings s and m the largest |cosine| between two grid axes.
+    Along the axis c that maximises |v_c| s_c, stepping from p one voxel
+    toward q changes the squared distance to q by at most
+    s_c^2 - 2 |v_c| s_c^2 (1 - 2m) <= s_c^2 (4m - 1), which is negative
+    for m < 1/4.  So no nearest voxel is interior.  Grids with
+    orthogonal axes, rotated or not, have m = 0.
+    """
+    lin = np.asarray(affine)[:3, :3]
+    gram = lin.T @ lin
+    norms = np.sqrt(np.diag(gram))
+    cosines = gram / np.outer(norms, norms) - np.eye(3)
+    return bool(np.all(np.abs(cosines) < 0.25))
 
 
 def pasd(gt: Volume, pred: Volume, spec: BoundarySpec, lms: LandmarkSet,
@@ -189,25 +271,41 @@ def pasd(gt: Volume, pred: Volume, spec: BoundarySpec, lms: LandmarkSet,
     landmark plane (plane slice included); pass False to use every
     predicted voxel of the label.  Lateral surfaces always use the
     whole label.  Undefined (raises) when either set is empty.
+
+    Only the predicted label's bounding box is read.  The KD-tree holds
+    the label's shell voxels (see ``_shell_is_exact``) plus those that
+    coincide with a surface voxel, which give the same nearest
+    distances as the whole label.
     """
     _check_aligned(pred, gt)
     bside = spec.side(side)
-    surface = extract_protocol_surface(gt, spec, lms, side)
+    gt_can, _ = reorient_to_canonical(gt)
+    vox = _surface_voxels(gt_can, spec, lms, side)
+    surface = gt_can.voxel_to_world(vox.astype(np.float64))
     can, _ = reorient_to_canonical(pred)
-    mask = can.data == bside.label
-    if side_filter and spec.surface in ("anterior", "posterior") \
+    box = _box(can, bside.label)
+    if box is not None and side_filter and spec.surface in ("anterior", "posterior") \
             and bside.landmark in lms:
         j_lm = coronal_slice_index(can, lms[bside.landmark])
-        jgrid = np.arange(mask.shape[1], dtype=np.int64)[None, :, None]
-        keep = jgrid >= j_lm if spec.surface == "posterior" else jgrid <= j_lm
-        mask = mask & keep
-    idx = np.nonzero(mask)
-    if idx[0].size == 0:
+        lo, hi = box[1].start, box[1].stop
+        lo, hi = (max(lo, j_lm), hi) if spec.surface == "posterior" else (lo, min(hi, j_lm + 1))
+        box = (box[0], slice(lo, hi), box[2]) if lo < hi else None
+    mask = None if box is None else can.data[box] == bside.label
+    if mask is None or not mask.any():
         raise MetricUndefinedError(
             f"{spec.region} ({spec.surface}, {side}): no predicted voxels of "
             f"label {bside.label} on the evaluation side")
-    pred_pts = can.voxel_to_world(np.stack(idx, axis=1).astype(np.float64))
-    dists, _ = cKDTree(pred_pts).query(surface, k=1)
+    idx = np.nonzero(mask)
+    origin = np.array([s.start for s in box])
+    pred_pts = can.voxel_to_world(
+        (np.stack(idx, axis=1) + origin).astype(np.float64))
+    in_tree = mask & ~ndi.binary_erosion(mask) if _shell_is_exact(can.affine) \
+        else mask.copy()
+    # a surface voxel inside the predicted mask is its own nearest voxel
+    local = vox - origin
+    local = local[np.all((local >= 0) & (local < mask.shape), axis=1)]
+    in_tree[tuple(local[mask[tuple(local.T)]].T)] = True
+    dists, _ = cKDTree(pred_pts[in_tree[idx]]).query(surface, k=1)
     return float(np.mean(dists))
 
 
@@ -241,6 +339,53 @@ def line_metrics(pred_y, gt_y) -> tuple[float, float]:
     return mae, sigma
 
 
+def _separation_lines(vol: Volume, slice_axis: int, scan_axis: int,
+                      labels: tuple[int, int], box):
+    """Separation line of each slice along slice_axis that box spans.
+
+    box is a tuple of per-axis slices with explicit bounds that holds
+    every voxel of both labels.  Yields (slice index, (rows, world mm
+    positions)) for a slice with a line and (slice index,
+    MetricUndefinedError) for one without.
+    """
+    a_id, b_id = labels
+    row_axis = 3 - slice_axis - scan_axis
+    order = (slice_axis, scan_axis, row_axis)
+    origin = [box[ax].start for ax in order]
+    blk = np.asarray(vol.data)[box].transpose(order)  # (slice, scan, row)
+    a_mask = blk == a_id
+    b_mask = blk == b_id
+    n_a = a_mask.sum(axis=(1, 2))
+    n_b = b_mask.sum(axis=(1, 2))
+    # the labels' mean scan positions: exact integer sums, one division
+    scan_idx = np.arange(origin[1], origin[1] + blk.shape[1])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean_a = a_mask.sum(axis=2) @ scan_idx / n_a
+        mean_b = b_mask.sum(axis=2) @ scan_idx / n_b
+    # first B voxel met scanning from the A side
+    first = np.where((mean_a < mean_b)[:, None], b_mask.argmax(axis=1),
+                     blk.shape[1] - 1 - b_mask[:, ::-1].argmax(axis=1)) + origin[1]
+    both = a_mask.any(axis=1) & b_mask.any(axis=1)  # (slice, row)
+    for s in range(blk.shape[0]):
+        index = origin[0] + s
+        rows = np.nonzero(both[s])[0]
+        if n_a[s] == 0 or n_b[s] == 0:
+            missing = a_id if n_a[s] == 0 else b_id
+            yield index, MetricUndefinedError(f"slice {index} lacks label {missing}")
+        elif mean_a[s] == mean_b[s]:
+            yield index, MetricUndefinedError(
+                "labels interleave symmetrically; no scan side")
+        elif rows.size == 0:
+            yield index, MetricUndefinedError(
+                f"slice {index}: no row contains both labels {labels}")
+        else:
+            pts = np.zeros((rows.size, 3), dtype=np.float64)
+            pts[:, scan_axis] = first[s, rows]
+            pts[:, slice_axis] = index
+            pts[:, row_axis] = rows + origin[2]
+            yield index, (rows + origin[2], vol.voxel_to_world(pts)[:, scan_axis])
+
+
 def extract_separation_line(vol: Volume, slice_axis: int, slice_index: int,
                             labels: tuple[int, int], scan_axis: int,
                             ) -> tuple[np.ndarray, np.ndarray]:
@@ -254,50 +399,14 @@ def extract_separation_line(vol: Volume, slice_axis: int, slice_index: int,
     """
     if slice_axis == scan_axis:
         raise MetricError("scan axis must differ from slice axis")
-    a_id, b_id = labels
-    data = np.asarray(vol.data)
-    if not 0 <= slice_index < data.shape[slice_axis]:
+    if not 0 <= slice_index < vol.dims[slice_axis]:
         raise MetricError(f"slice {slice_index} outside axis {slice_axis}")
-    sl = np.take(data, slice_index, axis=slice_axis)
-    # axes of sl: the two volume axes != slice_axis, in ascending order
-    kept = [ax for ax in range(3) if ax != slice_axis]
-    scan_pos = kept.index(scan_axis)
-    if scan_pos != 0:
-        sl = sl.T
-    row_axis = kept[1 - kept.index(scan_axis)]
-
-    a_mask = sl == a_id
-    b_mask = sl == b_id
-    if not a_mask.any() or not b_mask.any():
-        missing = a_id if not a_mask.any() else b_id
-        raise MetricUndefinedError(f"slice {slice_index} lacks label {missing}")
-    scan_idx = np.arange(sl.shape[0], dtype=np.float64)[:, None]
-    mean_a = float((scan_idx * a_mask).sum() / a_mask.sum())
-    mean_b = float((scan_idx * b_mask).sum() / b_mask.sum())
-    if mean_a == mean_b:
-        raise MetricUndefinedError("labels interleave symmetrically; no scan side")
-    ascending = mean_a < mean_b
-
-    rows = []
-    positions = []
-    for r in range(sl.shape[1]):
-        col_a = a_mask[:, r]
-        col_b = b_mask[:, r]
-        if not col_a.any() or not col_b.any():
-            continue
-        hits = np.nonzero(col_b)[0]
-        first = hits[0] if ascending else hits[-1]
-        rows.append(r)
-        positions.append(first)
-    if not rows:
-        raise MetricUndefinedError(
-            f"slice {slice_index}: no row contains both labels {labels}")
-    pts = np.zeros((len(rows), 3), dtype=np.float64)
-    pts[:, scan_axis] = positions
-    pts[:, slice_axis] = slice_index
-    pts[:, row_axis] = rows
-    world = vol.voxel_to_world(pts)[:, scan_axis]
-    return np.asarray(rows, dtype=np.int64), world
+    box = [slice(0, n) for n in vol.dims]
+    box[slice_axis] = slice(slice_index, slice_index + 1)
+    _, line = next(_separation_lines(vol, slice_axis, scan_axis, labels, tuple(box)))
+    if isinstance(line, MetricUndefinedError):
+        raise line
+    return line
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +543,22 @@ class MetricRow:
     value: float
 
 
+@dataclass(frozen=True)
+class SkippedSide:
+    """A boundary side that a metric family left out of a report, and why."""
+
+    metric: str   # pasd | lines
+    region: str
+    surface: str
+    side: str
+    reason: str
+
+
 @dataclass
 class MetricReport:
     subject: str
     rows: list[MetricRow] = field(default_factory=list)
+    skipped: list[SkippedSide] = field(default_factory=list)
 
     def mean(self, metric: str) -> float:
         vals = [r.value for r in self.rows if r.metric == metric]
@@ -449,13 +570,15 @@ class MetricReport:
         doc = {
             "subject": self.subject,
             "rows": [vars(r) for r in self.rows],
+            "skipped": [vars(k) for k in self.skipped],
         }
         return json.dumps(doc, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "MetricReport":
         doc = json.loads(text)
-        return cls(doc["subject"], [MetricRow(**r) for r in doc["rows"]])
+        return cls(doc["subject"], [MetricRow(**r) for r in doc["rows"]],
+                   [SkippedSide(**k) for k in doc.get("skipped", [])])
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -479,19 +602,19 @@ def evaluate_pair(pred26: Volume, gt26: Volume, lms: LandmarkSet,
                   boundaries: tuple[BoundarySpec, ...] = DEFAULT_BOUNDARIES,
                   subject: str = "subject") -> MetricReport:
     """Full per-subject report: Dice per label, PASD and line metrics
-    per protocol boundary side.  Boundaries undefined on these volumes
-    (absent labels) are skipped.
+    per protocol boundary side.  Boundary sides undefined on these
+    volumes (absent labels or landmarks) are listed in ``skipped``.
+
+    Labels must lie in the fine taxonomy 0..26 (MetricError otherwise).
     """
     _check_aligned(pred26, gt26)
+    confusion = _confusion(pred26, gt26)
     report = MetricReport(subject)
-    present = sorted(
-        set(np.unique(gt26.data).tolist()) | set(np.unique(pred26.data).tolist()))
-    for label in present:
-        if label == 0:
-            continue
-        region, side = _region_side(int(label))
+    present = np.flatnonzero(confusion.sum(axis=0) + confusion.sum(axis=1))
+    for label in present[present > 0].tolist():
+        region, side = _region_side(label)
         report.rows.append(MetricRow(
-            "dice", region, "", side, dice(pred26, gt26, int(label))))
+            "dice", region, "", side, _dice(confusion, label)))
 
     pred_can, _ = reorient_to_canonical(pred26)
     gt_can, _ = reorient_to_canonical(gt26)
@@ -499,7 +622,9 @@ def evaluate_pair(pred26: Volume, gt26: Volume, lms: LandmarkSet,
         for bside in spec.sides:
             try:
                 value = pasd(gt_can, pred_can, spec, lms, bside.side)
-            except MetricUndefinedError:
+            except MetricUndefinedError as exc:
+                report.skipped.append(SkippedSide(
+                    "pasd", spec.region, spec.surface, bside.side, str(exc)))
                 continue
             report.rows.append(MetricRow(
                 "pasd", spec.region, spec.surface, bside.side, value))
@@ -507,6 +632,9 @@ def evaluate_pair(pred26: Volume, gt26: Volume, lms: LandmarkSet,
         for bside in spec.sides:
             agg = _line_metrics_for_boundary(pred_can, gt_can, spec, bside)
             if agg is None:
+                report.skipped.append(SkippedSide(
+                    "lines", spec.region, spec.surface, bside.side,
+                    "no slice with a line in both volumes"))
                 continue
             mae, sigma = agg
             report.rows.append(MetricRow(
@@ -514,6 +642,18 @@ def evaluate_pair(pred26: Volume, gt26: Volume, lms: LandmarkSet,
             report.rows.append(MetricRow(
                 "sigma_y", spec.region, spec.surface, bside.side, sigma))
     return report
+
+
+def _lines_by_slice(vol, slice_axis, scan_axis, pair) -> dict:
+    """{slice index: (rows, world positions)} of every slice with a line."""
+    boxes = [_box(vol, label) for label in pair]
+    if boxes[0] is None or boxes[1] is None:
+        return {}
+    box = tuple(slice(min(a.start, b.start), max(a.stop, b.stop))
+                for a, b in zip(*boxes))
+    return {s: line for s, line
+            in _separation_lines(vol, slice_axis, scan_axis, pair, box)
+            if not isinstance(line, MetricUndefinedError)}
 
 
 def _line_metrics_for_boundary(pred_can, gt_can, spec, bside):
@@ -533,16 +673,12 @@ def _line_metrics_for_boundary(pred_can, gt_can, spec, bside):
     else:
         slice_axis, scan_axis = 1, 0
         pair = (bside.label, bside.neighbor)
+    pred_lines = _lines_by_slice(pred_can, slice_axis, scan_axis, pair)
+    gt_lines = _lines_by_slice(gt_can, slice_axis, scan_axis, pair)
     maes, sigmas = [], []
-    n_slices = pred_can.dims[slice_axis]
-    for s in range(n_slices):
-        try:
-            rows_p, ys_p = extract_separation_line(
-                pred_can, slice_axis, s, pair, scan_axis)
-            rows_g, ys_g = extract_separation_line(
-                gt_can, slice_axis, s, pair, scan_axis)
-        except MetricUndefinedError:
-            continue
+    for s in sorted(pred_lines.keys() & gt_lines.keys()):
+        rows_p, ys_p = pred_lines[s]
+        rows_g, ys_g = gt_lines[s]
         common, ip, ig = np.intersect1d(rows_p, rows_g, return_indices=True)
         if common.size == 0:
             continue

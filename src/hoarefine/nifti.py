@@ -35,6 +35,7 @@ anterior, +z toward superior.
 
 from __future__ import annotations
 
+import functools
 import gzip
 import struct
 import zlib
@@ -42,6 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.ndimage as ndi
 
 HDR_SIZE = 348
 MAGIC_SINGLE = b"n+1\x00"
@@ -147,6 +149,19 @@ class Volume:
     def is_label(self) -> bool:
         return np.issubdtype(self.data.dtype, np.integer)
 
+    @functools.cached_property
+    def label_boxes(self) -> tuple:
+        """Bounding box of each label value v >= 1 of an integer label map.
+
+        ``label_boxes[v - 1]`` is a tuple of per-axis slices enclosing
+        every voxel of value v, or None when v is absent
+        (``scipy.ndimage.find_objects``).  Computed on first use and kept,
+        which is safe because ``data`` is a locked copy.
+        """
+        if not self.is_label:
+            raise ValueError(f"bounding boxes need integer labels, got {self.data.dtype}")
+        return tuple(ndi.find_objects(self.data))
+
     def voxel_to_world(self, ijk) -> np.ndarray:
         """Map voxel indices to world mm.  Accepts shape (3,) or (N, 3)."""
         ijk = np.asarray(ijk, dtype=np.float64)
@@ -205,7 +220,9 @@ def read_volume(path: str | Path) -> Volume:
     ndim = dim[0]
     if not 1 <= ndim <= 7:
         raise NiftiFormatError(f"{path}: dim[0]={ndim} out of range")
-    shape = [max(1, dim[i + 1]) for i in range(ndim)]
+    if min(dim[1:ndim + 1]) < 1:
+        raise NiftiFormatError(f"{path}: dim{list(dim[:ndim + 1])} has an extent below 1")
+    shape = list(dim[1:ndim + 1])
     # squeeze trailing singleton dims (4D with one timepoint etc.)
     while len(shape) > 3 and shape[-1] == 1:
         shape.pop()
@@ -228,6 +245,8 @@ def read_volume(path: str | Path) -> Volume:
     qform_code = struct.unpack_from(bo + "h", raw, 252)[0]
     sform_code = struct.unpack_from(bo + "h", raw, 254)[0]
 
+    if not np.isfinite(vox_offset):
+        raise NiftiFormatError(f"{path}: vox_offset {vox_offset} is not finite")
     n_vox = int(np.prod(shape))
     offset = int(vox_offset) if vox_offset >= HDR_SIZE else HDR_SIZE
     need = offset + n_vox * dtype.itemsize
@@ -254,6 +273,8 @@ def read_volume(path: str | Path) -> Volume:
         affine[:3, 3] = (qx, qy, qz)
     else:
         affine = np.diag([pixdim[1] or 1.0, pixdim[2] or 1.0, pixdim[3] or 1.0, 1.0])
+    if not np.all(np.isfinite(affine)):
+        raise NiftiFormatError(f"{path}: affine from the header is not finite")
 
     intent_name = raw[328:344].rstrip(b"\x00")
     taxonomy = TAXONOMY_FOR_TAG.get(intent_name)

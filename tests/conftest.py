@@ -23,3 +23,19 @@ def make_volume(data, spacing=1.0, origin=0.0, taxonomy=None):
     affine = np.diag([sp[0], sp[1], sp[2], 1.0])
     affine[:3, 3] = np.broadcast_to(np.asarray(origin, dtype=np.float64), 3)
     return Volume(data, affine, taxonomy=taxonomy)
+
+
+def resample(vol, dims):
+    """Nearest-neighbour resample of an axis-aligned volume centred on the
+    world origin (as phantoms are) onto ``dims`` voxels, same field of view."""
+    src_dims = np.array(vol.dims)
+    src_sp = np.diag(vol.affine)[:3]
+    sp = src_sp * src_dims / np.array(dims)
+    affine = np.diag([sp[0], sp[1], sp[2], 1.0])
+    affine[:3, 3] = -(np.array(dims) - 1) / 2.0 * sp
+    picks = []
+    for ax, d in enumerate(dims):
+        world = (np.arange(d) - (d - 1) / 2.0) * sp[ax]
+        picks.append(np.clip(np.rint((world - vol.affine[ax, 3]) / src_sp[ax]),
+                             0, src_dims[ax] - 1).astype(np.int64))
+    return Volume(vol.data[np.ix_(*picks)], affine, taxonomy=vol.taxonomy)

@@ -146,6 +146,36 @@ class TestEvaluate:
         assert "affine" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("label", [27, -1])
+    def test_label_outside_taxonomy_exit_2(self, work, tmp_path, capsys, label):
+        src = read_volume(work / "src" / "p0.nii")
+        data = src.data.copy()
+        data[0, 0, 0] = label
+        pred = tmp_path / "pred.nii"
+        write_volume(src.with_data(data), pred)
+        capsys.readouterr()
+        code = main(["evaluate", str(pred), str(work / "src" / "p0.nii"),
+                     "--landmarks", str(work / "lm" / "p0.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert f"label {label}" in err
+
+    def test_skipped_sides_in_json(self, work, tmp_path, capsys):
+        doc = json.loads((work / "lm" / "p0.json").read_text())
+        doc["landmarks"] = [e for e in doc["landmarks"] if e["id"] != 9]
+        lm_path = tmp_path / "no3v.json"
+        lm_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["evaluate", str(work / "refined" / "p0.nii"),
+                     str(work / "src" / "p0.nii"), "--landmarks", str(lm_path)])
+        assert code == 0
+        skipped = json.loads(capsys.readouterr().out)["skipped"]
+        assert skipped == [{"metric": "pasd", "region": "3V",
+                            "surface": "anterior", "side": "mid",
+                            "reason": "landmark #9 missing"}]
+
+
 class TestRoundtrip:
     def test_clean_phantom_passes(self, work, capsys):
         code = main(["roundtrip", str(work / "src" / "p0.nii"),

@@ -155,9 +155,12 @@ def test_parse_landmarks_json_errors(tmp_path):
         p.write_text(good.replace(broken, ""))
         with pytest.raises(LabelError, match="needs 'id' and 'xyz'"):
             parse_landmarks(p)
-    p.write_text(good.replace('"id": 10', '"id": [10]'))
-    with pytest.raises(LabelError, match="not an integer"):
-        parse_landmarks(p)
+    for bad_id in ('[10]', '10.5', 'true', '"10"', 'null', '1e400'):
+        p.write_text(good.replace('"id": 10', f'"id": {bad_id}'))
+        with pytest.raises(LabelError, match="not an integer"):
+            parse_landmarks(p)
+    p.write_text(good.replace('"id": 10', '"id": 10.0'))
+    assert parse_landmarks(p).ids == (10,)
     p.write_text(good.replace("[0.0, 1.0, 2.0]", '{"x": 0}'))
     with pytest.raises(LabelError, match="finite 3-vector"):
         parse_landmarks(p)

@@ -1,6 +1,8 @@
 """Evaluation metrics: Dice, surface distances, lines, paired testing."""
 
+import json
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -14,18 +16,24 @@ from hoarefine import (
     MetricRow,
     MetricUndefinedError,
     PairedSampleTable,
+    Volume,
     benjamini_hochberg,
+    degrade_phantom,
     dice,
     evaluate_pair,
     extract_protocol_surface,
     extract_separation_line,
+    generate_phantom,
     line_metrics,
     pasd,
+    refine_full,
     wilcoxon_fdr,
     wilcoxon_signed_rank,
 )
 
-from conftest import make_volume
+from hoarefine.metrics import SkippedSide
+
+from conftest import make_volume, resample
 from oracles import brute_dice, brute_pasd, brute_separation_line, brute_wilcoxon
 
 
@@ -60,6 +68,20 @@ class TestDice:
         b = make_volume(np.zeros((2, 2, 3), dtype=np.int16))
         with pytest.raises(MetricError, match="mismatch"):
             dice(a, b, 6)
+
+    def test_labels_outside_taxonomy(self):
+        ok = make_volume(np.array([[[6, 0]]], dtype=np.int16))
+        for bad in (27, 30, -1):
+            vol = make_volume(np.array([[[6, bad]]], dtype=np.int16))
+            with pytest.raises(MetricError, match=f"label {bad}, outside"):
+                dice(vol, ok, 6)
+            with pytest.raises(MetricError, match=f"label {bad}, outside"):
+                evaluate_pair(ok, vol, LandmarkSet({}))
+        with pytest.raises(MetricError, match="outside"):
+            dice(ok, ok, 27)
+        floats = make_volume(np.array([[[6.0, 0.0]]], dtype=np.float32))
+        with pytest.raises(MetricError, match="integer labels"):
+            evaluate_pair(floats, ok, LandmarkSet({}))
 
     def test_matches_reference_count(self):
         rng = np.random.default_rng(2)
@@ -243,6 +265,22 @@ class TestPasd:
         with pytest.raises(MetricError, match="no side"):
             spec.side("mid")
 
+    def test_sheared_grid_nearest_voxel_may_be_interior(self):
+        # the y axis leans toward x (cosine 0.67): a diagonal step is
+        # shorter than any face step, so a hole in the predicted putamen
+        # is nearest to a voxel deep inside it, not to the hole's rim
+        affine = np.eye(4)
+        affine[:3, :3] = [[1.0, 0.63, 0.0], [0.0, 0.7, 0.0], [0.0, 0.0, 1.0]]
+        gt = Volume(np.full((5, 5, 3), 10, dtype=np.int16), affine)
+        holed = gt.data.copy()
+        holed[2, 3, 1] = 0
+        pred = Volume(holed, affine)
+        lms = LandmarkSet({1: gt.voxel_to_world([0.0, 3.0, 0.0])})
+        spec = _spec("Put", "anterior")
+        nearest = np.hypot(1.0 - 0.63, 0.7)  # voxel (3, 2, 1), interior
+        assert pasd(gt, pred, spec, lms, "left") == pytest.approx(
+            nearest / 15, abs=1e-12)
+
     def test_matches_reference_distances(self):
         rng = np.random.default_rng(6)
         spec_post = _spec("NAcc", "posterior")
@@ -373,6 +411,21 @@ class TestMetricReport:
         back = MetricReport.from_json(rep.to_json())
         assert back.subject == "sub-01"
         assert back.rows == rep.rows
+        assert back.skipped == []
+
+    def test_skipped_round_trip(self):
+        rep = self._report()
+        rep.skipped.append(SkippedSide("lines", "IH", "posterior", "left",
+                                       "no slice with a line in both volumes"))
+        text = rep.to_json()
+        assert json.loads(text)["skipped"][0]["reason"].startswith("no slice")
+        back = MetricReport.from_json(text)
+        assert back.skipped == rep.skipped
+        assert back.to_json() == text
+        assert rep.to_csv() == self._report().to_csv()  # CSV schema unchanged
+        doc = json.loads(text)
+        del doc["skipped"]  # reports written before the list existed
+        assert MetricReport.from_json(json.dumps(doc)).skipped == []
 
     def test_csv_layout(self):
         lines = self._report().to_csv().strip().splitlines()
@@ -400,3 +453,16 @@ def test_evaluate_pair_self_comparison(phantom0, refined0):
     assert all(v == 0.0 for v in by_metric["sigma_y"])
     assert all(v == 0.0 for v in by_metric["mae"])
     assert report.mean("dice") == 1.0
+
+
+def test_evaluate_pair_budget_260():
+    """evaluate_pair on a degraded 260x311x260 resample stays under 2.5 s."""
+    vol, lms = generate_phantom(3)
+    fused, _ = degrade_phantom(vol, lms, "boundary-noise", 0.05, seed=3)
+    dims = (260, 311, 260)
+    pred, gt = (resample(v, dims) for v in (refine_full(fused, lms), vol))
+    t0 = time.perf_counter()
+    report = evaluate_pair(pred, gt, lms)
+    elapsed = time.perf_counter() - t0
+    assert len(report.rows) > 26
+    assert elapsed < 2.5, f"evaluate_pair took {elapsed:.2f} s at {dims}"

@@ -167,6 +167,31 @@ def test_rejects_bad_magic_and_truncation(tmp_path):
         read_volume(p3)
 
 
+def _qform_only(hdr: bytearray) -> None:
+    struct.pack_into("<h", hdr, 252, 1)   # qform_code
+    struct.pack_into("<h", hdr, 254, 0)   # sform_code
+    struct.pack_into("<3f", hdr, 256, float("nan"), 0.0, 0.0)  # quatern_b/c/d
+
+
+@pytest.mark.parametrize("field, patch", [
+    ("dim", lambda h: struct.pack_into("<h", h, 42, -4)),          # dim[1]
+    ("dim", lambda h: struct.pack_into("<h", h, 46, 0)),           # dim[3]
+    ("vox_offset", lambda h: struct.pack_into("<f", h, 108, float("nan"))),
+    ("vox_offset", lambda h: struct.pack_into("<f", h, 108, float("inf"))),
+    ("affine", lambda h: struct.pack_into("<f", h, 280, float("nan"))),  # srow_x[0]
+    ("affine", lambda h: struct.pack_into("<f", h, 324, float("inf"))),  # srow_z[3]
+    ("affine", _qform_only),
+], ids=["dim1-negative", "dim3-zero", "vox_offset-nan", "vox_offset-inf",
+        "sform-nan", "sform-inf", "qform-nan"])
+def test_rejects_invalid_header_fields(tmp_path, field, patch):
+    hdr = bytearray(_hand_built_header("<", bytes(range(64))))
+    patch(hdr)
+    p = tmp_path / "bad.nii"
+    p.write_bytes(bytes(hdr))
+    with pytest.raises(NiftiFormatError, match=field):
+        read_volume(p)
+
+
 def test_voxel_world_mapping_by_hand():
     vol = make_volume(np.zeros((40, 40, 40), dtype=np.int16),
                       spacing=0.7, origin=-13.65)
