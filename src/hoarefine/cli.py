@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -44,7 +43,7 @@ from .metrics import (
     evaluate_pair,
     wilcoxon_fdr,
 )
-from .nifti import NiftiError, Volume, read_volume, write_volume
+from .nifti import NiftiError, Volume, open_atomic, read_volume, write_volume
 from .phantom import (
     DEGRADE_MODES,
     PhantomError,
@@ -121,8 +120,8 @@ def _write_manifest(output: Path, command: str, inputs, *, config=None,
         doc["seed"] = seed
     if elapsed is not None:
         doc["elapsed_s"] = round(elapsed, 3)
-    path = Path(str(output) + ".manifest.json")
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    with open_atomic(Path(str(output) + ".manifest.json")) as f:
+        f.write((json.dumps(doc, indent=2) + "\n").encode("utf-8"))
 
 
 def _volume_stem(path: Path) -> str:
@@ -222,6 +221,8 @@ def _run_task(task) -> tuple[int, str, float]:
 def _run_batch(tasks, jobs: int):
     if jobs <= 1 or len(tasks) == 1:
         return [_run_task(t) for t in tasks]
+    import multiprocessing
+
     with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
         return pool.map(_run_task, tasks)
 

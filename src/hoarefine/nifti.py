@@ -35,15 +35,16 @@ anterior, +z toward superior.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import gzip
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.ndimage as ndi
 
 HDR_SIZE = 348
 MAGIC_SINGLE = b"n+1\x00"
@@ -158,6 +159,8 @@ class Volume:
         (``scipy.ndimage.find_objects``).  Computed on first use and kept,
         which is safe because ``data`` is a locked copy.
         """
+        import scipy.ndimage as ndi
+
         if not self.is_label:
             raise ValueError(f"bounding boxes need integer labels, got {self.data.dtype}")
         return tuple(ndi.find_objects(self.data))
@@ -247,8 +250,12 @@ def read_volume(path: str | Path) -> Volume:
 
     if not np.isfinite(vox_offset):
         raise NiftiFormatError(f"{path}: vox_offset {vox_offset} is not finite")
+    # a single-file image starts after the header and its 4 extension bytes
+    if vox_offset < HDR_SIZE + 4:
+        raise NiftiFormatError(
+            f"{path}: vox_offset {vox_offset} is below {HDR_SIZE + 4}")
     n_vox = int(np.prod(shape))
-    offset = int(vox_offset) if vox_offset >= HDR_SIZE else HDR_SIZE
+    offset = int(vox_offset)
     need = offset + n_vox * dtype.itemsize
     if len(raw) < need:
         raise NiftiFormatError(
@@ -341,14 +348,40 @@ def write_volume(vol: Volume, path: str | Path) -> None:
 
     blob = bytes(hdr) + b"\x00\x00\x00\x00" + payload.tobytes(order="F")
 
-    if path.suffix == ".gz":
-        # mtime pinned and name field blanked so identical volumes
-        # produce identical bytes regardless of output path or run time
-        with open(path, "wb") as f:
+    with open_atomic(path) as f:
+        if path.suffix == ".gz":
+            # mtime pinned and name field blanked so identical volumes
+            # produce identical bytes regardless of output path or run time
             with gzip.GzipFile(fileobj=f, mode="wb", mtime=0, filename="") as gz:
                 gz.write(blob)
-    else:
-        path.write_bytes(blob)
+        else:
+            f.write(blob)
+
+
+@contextlib.contextmanager
+def open_atomic(path: str | Path):
+    """Create or replace ``path`` with what the block writes to the
+    yielded binary file.
+
+    The bytes go to a new file beside ``path`` that ``os.replace`` then
+    renames over it, so readers see the old file or the complete new
+    one.  When the block raises, the partial file is removed and
+    ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        # O_EXCL never clobbers another file; mode 0o666 less the umask, as open()
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the file the caller asked for
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    try:
+        with os.fdopen(fd, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -453,32 +486,3 @@ def round_half_away(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     return np.trunc(x + np.copysign(0.5, x)).astype(np.int64)
 
-
-def zscore_normalize(vol: Volume, mask: Volume | np.ndarray | None = None) -> Volume:
-    """Zero-mean unit-variance intensity scaling (population std).
-
-    With a mask (nonzero = in-mask) the statistics come from masked
-    voxels only and voxels outside it are set to 0.  Constant input has
-    no scale to normalize by and raises ValueError.  Output data stays
-    float64 so repeated normalization is a fixed point to 1e-9.
-    """
-    data = np.asarray(vol.data, dtype=np.float64)
-    if mask is not None:
-        marr = mask.data if isinstance(mask, Volume) else np.asarray(mask)
-        if marr.shape != data.shape:
-            raise ValueError(f"mask shape {marr.shape} != volume shape {data.shape}")
-        m = marr != 0
-        sel = data[m]
-    else:
-        m = None
-        sel = data.ravel()
-    if sel.size < 2:
-        raise ValueError("need at least 2 voxels to normalize")
-    mu = float(sel.mean())
-    sd = float(sel.std())
-    if sd == 0.0:
-        raise ValueError("constant intensities cannot be z-scored")
-    out = (data - mu) / sd
-    if m is not None:
-        out[~m] = 0.0
-    return Volume(out, vol.affine, taxonomy=None)

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.ndimage as ndi
 
 from .labels import LandmarkSet, fuse_labels, validate_landmarks
 from .nifti import Volume, round_half_away
@@ -325,6 +324,8 @@ def degrade_phantom(
                 if vals.size:
                     data[tuple(ijk)] = vals[rng.integers(vals.size)]
         return v12.with_data(data), lms
+
+    import scipy.ndimage as ndi
 
     steps = int(amount)
     if steps < 1:

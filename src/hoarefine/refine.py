@@ -27,7 +27,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage as ndi
 
 from .labels import (
     BILATERAL_FUSED,
@@ -399,6 +398,8 @@ def split_lv_ih(
     component nearest the landmark's (x, z).  A slice with no adjacent
     component ends the chain; everything else stays lateral ventricle.
     """
+    import scipy.ndimage as ndi
+
     cfg = cfg or RefinementConfig()
     partial = partial.copy()
     ny = partial.shape[1]

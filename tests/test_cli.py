@@ -1,7 +1,9 @@
 """End-to-end command line behavior, exit codes, and manifests."""
 
 import json
+import os
 import shutil
+import struct
 import time
 
 import numpy as np
@@ -70,6 +72,22 @@ class TestPipeline:
             == [True, True]
         assert doc["config"]["separator_mode"] == "linear"
         assert doc["output"].endswith("p1.nii")
+
+    def test_failed_manifest_write_leaves_no_file(self, work, tmp_path,
+                                                   monkeypatch, capsys):
+        real_replace = os.replace
+
+        def fail_for_manifest(src, dst):
+            if str(dst).endswith(".manifest.json"):
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr("hoarefine.nifti.os.replace", fail_for_manifest)
+        capsys.readouterr()
+        assert main(["fuse", str(work / "src" / "p0.nii"),
+                     str(tmp_path / "out.nii")]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert os.listdir(tmp_path) == ["out.nii"]
 
     def test_jobs_do_not_change_bytes(self, work, tmp_path):
         a = tmp_path / "a"
@@ -240,6 +258,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, defect, code", [
         ("fuse", "truncated-gz", 1),
+        ("fuse", "vox-offset-0", 1),
         ("refine", "truncated-gz", 1),
         ("evaluate", "truncated-gz", 1),
         ("refine", "oblique-affine", 1),
@@ -259,6 +278,11 @@ class TestExitCodes:
             raw = gz.read_bytes()
             gz.write_bytes(raw[:len(raw) // 2])
             vol = gz
+        elif defect == "vox-offset-0":
+            raw = bytearray(vol.read_bytes())
+            struct.pack_into("<f", raw, 108, 0.0)
+            vol = tmp_path / "offset0.nii"
+            vol.write_bytes(bytes(raw))
         elif defect == "oblique-affine":
             # 45 degrees about y: two stored axes tie for world x
             c = np.sqrt(0.5)

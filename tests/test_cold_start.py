@@ -1,0 +1,84 @@
+"""Cold start: what a fresh interpreter loads for each step of the pipeline.
+
+scipy.stats is most of a cold ``import scipy`` and nothing on the
+fuse/refine/evaluate path needs it; scipy.ndimage loads on the first
+call that uses it.  Each check runs in a new interpreter, because this
+test process has long since imported both.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.stats
+
+from hoarefine import wilcoxon_signed_rank
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _loaded_after(code: str, cwd: Path) -> dict:
+    """Run ``code`` in a fresh interpreter; which scipy modules it loaded."""
+    probe = code + (
+        "\nimport json, sys\n"
+        "print(json.dumps({m: m in sys.modules for m in "
+        "('scipy.stats', 'scipy.ndimage')}))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_import_loads_neither(tmp_path):
+    loaded = _loaded_after("import hoarefine, hoarefine.cli", tmp_path)
+    assert loaded == {"scipy.stats": False, "scipy.ndimage": False}
+
+
+def test_refine_loads_ndimage_only(tmp_path):
+    loaded = _loaded_after(
+        "import sys\n"
+        "from hoarefine import fuse_labels, generate_phantom, refine_full\n"
+        "vol, lms = generate_phantom(0)\n"
+        "assert vol.dims == (96, 96, 96)\n"
+        "fused = fuse_labels(vol)\n"
+        "assert 'scipy.ndimage' not in sys.modules\n"
+        "assert (refine_full(fused, lms).data == vol.data).all()\n",
+        tmp_path)
+    assert loaded == {"scipy.stats": False, "scipy.ndimage": True}
+
+
+def test_cli_fuse_loads_neither(tmp_path):
+    from hoarefine import generate_phantom, write_volume
+
+    write_volume(generate_phantom(0)[0], tmp_path / "fine.nii.gz")
+    loaded = _loaded_after(
+        "from hoarefine.cli import main\n"
+        "assert main(['fuse', 'fine.nii.gz', 'fused.nii.gz']) == 0\n",
+        tmp_path)
+    assert loaded == {"scipy.stats": False, "scipy.ndimage": False}
+    assert (tmp_path / "fused.nii.gz.manifest.json").exists()
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_large_sample_p_is_norm_sf_bit_for_bit(ties):
+    rng = np.random.default_rng(3)
+    n = 40
+    d = rng.integers(-9, 12, size=n).astype(float) if ties \
+        else rng.normal(0.4, 1.0, size=n)
+    d[d == 0] = 1.0
+    w, p = wilcoxon_signed_rank(d, np.zeros(n))
+
+    ranks = scipy.stats.rankdata(np.abs(d))
+    _, t = np.unique(np.abs(d), return_counts=True)
+    assert (t.max() > 1) == ties
+    var = n * (n + 1) * (2 * n + 1) / 24.0 - float(np.sum(t**3 - t)) / 48.0
+    z = (ranks[d > 0].sum() - n * (n + 1) / 4.0) / np.sqrt(var)
+    assert w == ranks[d > 0].sum()
+    assert p == 2.0 * scipy.stats.norm.sf(abs(z))

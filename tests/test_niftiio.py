@@ -1,6 +1,7 @@
-"""Volume I/O: header parsing, round trips, orientation, normalization."""
+"""Volume I/O: header parsing, round trips, atomic writes, orientation."""
 
 import gzip
+import os
 import struct
 
 import numpy as np
@@ -15,7 +16,6 @@ from hoarefine import (
     reorient_to_canonical,
     round_half_away,
     write_volume,
-    zscore_normalize,
 )
 from hoarefine.nifti import AxisMap, orientation_map
 
@@ -109,6 +109,35 @@ def test_gzip_round_trip_deterministic(tmp_path):
     assert np.array_equal(read_volume(p2).data, vol.data)
 
 
+
+def test_failed_gzip_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    rng = np.random.default_rng(0)
+    old = make_volume(rng.integers(0, 256, (64, 64, 64), dtype=np.uint8))
+    new = old.with_data(old.data[::-1])
+    target = tmp_path / "out.nii.gz"
+    write_volume(old, target)
+    before = target.read_bytes()
+
+    real_write = gzip.GzipFile.write
+
+    def write_half_then_fail(self, data):
+        real_write(self, memoryview(data)[:len(data) // 2])
+        self.flush()  # the partial stream reaches the file
+        raise OSError("disk full")
+
+    monkeypatch.setattr(gzip.GzipFile, "write", write_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_volume(new, target)
+    with pytest.raises(OSError, match="disk full"):
+        write_volume(new, tmp_path / "fresh.nii.gz")
+    assert target.read_bytes() == before
+    assert os.listdir(tmp_path) == ["out.nii.gz"]
+
+    monkeypatch.undo()
+    write_volume(new, target)
+    assert read_volume(target).data.tobytes() == new.data.tobytes()
+    assert os.listdir(tmp_path) == ["out.nii.gz"]
+
 def test_taxonomy_tag_survives_round_trip(tmp_path):
     vol = make_volume(np.ones((3, 3, 3), dtype=np.int16), taxonomy="fine26")
     write_volume(vol, tmp_path / "t.nii.gz")
@@ -178,10 +207,15 @@ def _qform_only(hdr: bytearray) -> None:
     ("dim", lambda h: struct.pack_into("<h", h, 46, 0)),           # dim[3]
     ("vox_offset", lambda h: struct.pack_into("<f", h, 108, float("nan"))),
     ("vox_offset", lambda h: struct.pack_into("<f", h, 108, float("inf"))),
+    # a single-file image starts at byte 352 or later
+    ("vox_offset", lambda h: struct.pack_into("<f", h, 108, 0.0)),
+    ("vox_offset", lambda h: struct.pack_into("<f", h, 108, 348.0)),
+    ("vox_offset", lambda h: struct.pack_into("<f", h, 108, 351.0)),
     ("affine", lambda h: struct.pack_into("<f", h, 280, float("nan"))),  # srow_x[0]
     ("affine", lambda h: struct.pack_into("<f", h, 324, float("inf"))),  # srow_z[3]
     ("affine", _qform_only),
 ], ids=["dim1-negative", "dim3-zero", "vox_offset-nan", "vox_offset-inf",
+        "vox_offset-0", "vox_offset-348", "vox_offset-351",
         "sform-nan", "sform-inf", "qform-nan"])
 def test_rejects_invalid_header_fields(tmp_path, field, patch):
     hdr = bytearray(_hand_built_header("<", bytes(range(64))))
@@ -261,28 +295,3 @@ def test_orientation_map_identity_and_errors():
     bad[:3, 2] = [0, 0, 1]
     with pytest.raises(OrientationError):
         orientation_map(bad)
-
-
-def test_zscore_values_and_idempotence():
-    vol = make_volume(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 4))
-    z = zscore_normalize(vol)
-    sd = np.sqrt(1.25)  # population sd of {1,2,3,4}
-    assert np.allclose(z.data.ravel(), (np.array([1, 2, 3, 4]) - 2.5) / sd)
-    assert abs(float(z.data.std()) - 1.0) < 1e-12
-    z2 = zscore_normalize(z)
-    assert np.allclose(z2.data, z.data, atol=1e-9)
-
-
-def test_zscore_masked_sets_outside_to_zero():
-    data = np.array([10.0, 1.0, 2.0, 3.0, 4.0, -10.0]).reshape(1, 1, 6)
-    mask = np.array([False, True, True, True, True, False]).reshape(1, 1, 6)
-    z = zscore_normalize(make_volume(data), mask=mask)
-    assert z.data[0, 0, 0] == 0.0 and z.data[0, 0, 5] == 0.0
-    inner = z.data[0, 0, 1:5]
-    assert np.allclose(inner, (np.array([1, 2, 3, 4]) - 2.5) / np.sqrt(1.25))
-
-
-def test_zscore_constant_rejected():
-    vol = make_volume(np.full((2, 2, 2), 3.0))
-    with pytest.raises(ValueError):
-        zscore_normalize(vol)
