@@ -124,6 +124,18 @@ def _write_manifest(output: Path, command: str, inputs, *, config=None,
         f.write((json.dumps(doc, indent=2) + "\n").encode("utf-8"))
 
 
+def _write_report(out: str | None, text: str, command: str, inputs, t0: float,
+                  **manifest) -> None:
+    """Write a report to ``out`` atomically, then its manifest; to stdout if no ``out``."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    with open_atomic(Path(out)) as f:
+        f.write(text.encode("utf-8"))
+    _write_manifest(Path(out), command, inputs,
+                    elapsed=time.perf_counter() - t0, **manifest)
+
+
 def _volume_stem(path: Path) -> str:
     name = path.name
     for suffix in (".nii.gz", ".nii"):
@@ -275,13 +287,7 @@ def cmd_evaluate(args) -> int:
     subject = args.subject or _volume_stem(Path(args.pred))
     report = evaluate_pair(pred, gt, lms, subject=subject)
     text = report.to_csv() if args.format == "csv" else report.to_json()
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        _write_manifest(Path(args.out), "evaluate",
-                        [args.pred, args.gt, args.landmarks],
-                        elapsed=time.perf_counter() - t0)
-    else:
-        sys.stdout.write(text)
+    _write_report(args.out, text, "evaluate", [args.pred, args.gt, args.landmarks], t0)
     return EXIT_OK
 
 
@@ -303,10 +309,7 @@ def cmd_roundtrip(args) -> int:
     print(f"mean pasd: {pasd_text}")
     if args.out:
         text = report.to_csv() if args.format == "csv" else report.to_json()
-        Path(args.out).write_text(text, encoding="utf-8")
-        _write_manifest(Path(args.out), "roundtrip",
-                        [args.input, args.landmarks], config=cfg,
-                        elapsed=time.perf_counter() - t0)
+        _write_report(args.out, text, "roundtrip", [args.input, args.landmarks], t0, config=cfg)
     if mean_dice >= args.threshold:
         return EXIT_OK
     _fail(f"mean dice {mean_dice:.6f} below threshold {args.threshold}")
@@ -363,12 +366,7 @@ def cmd_stats(args) -> int:
         clean = [dict(r, statistic=_json_num(r["statistic"]),
                       p_value=_json_num(r["p_value"])) for r in results]
         text = json.dumps({"q": args.q, "results": clean}, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        _write_manifest(Path(args.out), "stats", [args.table_a, args.table_b],
-                        elapsed=time.perf_counter() - t0)
-    else:
-        sys.stdout.write(text)
+    _write_report(args.out, text, "stats", [args.table_a, args.table_b], t0)
     return EXIT_OK
 
 
@@ -436,11 +434,8 @@ def cmd_shape_iterate(args) -> int:
     doc = {"steps": steps_doc,
            "final_landmarks": {str(i): final_lms[i].tolist()
                                for i in final_lms.ids}}
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n",
-                              encoding="utf-8")
-    _write_manifest(Path(args.out), "shape iterate",
-                    [args.model, args.target],
-                    elapsed=time.perf_counter() - t0)
+    _write_report(args.out, json.dumps(doc, indent=2) + "\n", "shape iterate",
+                  [args.model, args.target], t0)
     return EXIT_OK
 
 
@@ -453,10 +448,8 @@ def cmd_shape_sample(args) -> int:
     doc = {"center": center.tolist(), "radius_mm": args.radius,
            "seed": args.seed, "side": patches[0].side,
            "points": [list(p.center) for p in patches]}
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n",
-                              encoding="utf-8")
-    _write_manifest(Path(args.out), "shape sample", [], seed=args.seed,
-                    elapsed=time.perf_counter() - t0)
+    _write_report(args.out, json.dumps(doc, indent=2) + "\n", "shape sample",
+                  [], t0, seed=args.seed)
     return EXIT_OK
 
 

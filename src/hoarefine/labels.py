@@ -18,13 +18,14 @@ interchanged as JSON (one object per landmark, world-mm RAS) or CSV.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .nifti import Volume
+from .nifti import Volume, open_atomic
 
 BACKGROUND = 0
 
@@ -93,7 +94,7 @@ FUSE_LUT = np.array(
      10, 10,      # HF_L, HF_R
      11, 11,      # AMY_L, AMY_R
      12, 12, 12, 12],  # VDC_A_L/R, VDC_P_L/R
-    dtype=np.int64,
+    dtype=np.int16,
 )
 
 # fused ids whose fine members are hemisphere-specific vs midline
@@ -168,8 +169,9 @@ def fuse_labels(vol: Volume) -> Volume:
     if not vol.is_label:
         raise LabelError(f"fuse_labels needs integer labels, got {vol.data.dtype}")
     validate_labels(vol.data, "fine26")
-    fused = FUSE_LUT[vol.data.astype(np.int64)]
-    return vol.with_data(fused.astype(np.int16), taxonomy="fused12")
+    # the gather takes the LUT's dtype, so the output is int16 with no
+    # int64 temporaries
+    return vol.with_data(FUSE_LUT[vol.data], taxonomy="fused12")
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +198,6 @@ LANDMARKS = {
     16: ("PPF", "midline", "prepontine fissure point"),
 }
 NAME_FOR_ID = {i: t[0] for i, t in LANDMARKS.items()}
-ID_FOR_NAME = {n: i for i, n in NAME_FOR_ID.items()}
-LANDMARK_LATERALITY = {i: t[1] for i, t in LANDMARKS.items()}
 
 # (left id, right id) landmark pairs
 LANDMARK_PAIRS = ((1, 2), (3, 4), (5, 6), (7, 8), (11, 12), (13, 14))
@@ -376,15 +376,16 @@ def write_landmarks(lms: LandmarkSet, path: str | Path) -> None:
                 for i in lms.ids
             ],
         }
-        with open(path, "w") as f:
-            json.dump(doc, f, indent=2)
-            f.write("\n")
+        text = json.dumps(doc, indent=2) + "\n"
     elif path.suffix.lower() == ".csv":
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["id", "name", "x", "y", "z"])
-            for i in lms.ids:
-                x, y, z = lms[i]
-                w.writerow([i, NAME_FOR_ID[i], repr(float(x)), repr(float(y)), repr(float(z))])
+        buf = io.StringIO(newline="")
+        w = csv.writer(buf)
+        w.writerow(["id", "name", "x", "y", "z"])
+        for i in lms.ids:
+            x, y, z = lms[i]
+            w.writerow([i, NAME_FOR_ID[i], repr(float(x)), repr(float(y)), repr(float(z))])
+        text = buf.getvalue()
     else:
         raise LabelError(f"{path}: landmark files must be .json or .csv")
+    with open_atomic(path) as f:
+        f.write(text.encode("utf-8"))

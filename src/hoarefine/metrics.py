@@ -167,12 +167,11 @@ def _surface_slice(vol: Volume, bside: BoundarySide, surface: str,
     return j + 1 if surface == "posterior" else j - 1
 
 
-def _box(vol: Volume, label: int):
-    """Bounding box of label in vol (a tuple of slices), None when absent."""
+def _label_map(vol: Volume) -> Volume:
+    """``vol``, checked to hold integer labels."""
     if not vol.is_label:
         raise MetricError(f"metrics need integer labels, got {vol.data.dtype}")
-    boxes = vol.label_boxes
-    return boxes[label - 1] if 0 < label <= len(boxes) else None
+    return vol
 
 
 def _surface_voxels(can: Volume, spec: BoundarySpec, lms: LandmarkSet,
@@ -195,7 +194,7 @@ def _surface_voxels(can: Volume, spec: BoundarySpec, lms: LandmarkSet,
 
     if spec.surface != "lateral":
         raise MetricError(f"unknown surface kind {spec.surface!r}")
-    box, nbox = _box(can, bside.label), _box(can, bside.neighbor)
+    box, nbox = _label_map(can).box((bside.label,)), can.box((bside.neighbor,))
     if box is None or nbox is None:
         raise MetricUndefinedError(
             f"{spec.region} (lateral, {side}): no slice contains both label "
@@ -286,7 +285,7 @@ def pasd(gt: Volume, pred: Volume, spec: BoundarySpec, lms: LandmarkSet,
     vox = _surface_voxels(gt_can, spec, lms, side)
     surface = gt_can.voxel_to_world(vox.astype(np.float64))
     can, _ = reorient_to_canonical(pred)
-    box = _box(can, bside.label)
+    box = _label_map(can).box((bside.label,))
     if box is not None and side_filter and spec.surface in ("anterior", "posterior") \
             and bside.landmark in lms:
         j_lm = coronal_slice_index(can, lms[bside.landmark])
@@ -653,11 +652,10 @@ def evaluate_pair(pred26: Volume, gt26: Volume, lms: LandmarkSet,
 
 def _lines_by_slice(vol, slice_axis, scan_axis, pair) -> dict:
     """{slice index: (rows, world positions)} of every slice with a line."""
-    boxes = [_box(vol, label) for label in pair]
-    if boxes[0] is None or boxes[1] is None:
+    # a slice without both labels yields an error and is left out
+    box = vol.box(pair)
+    if box is None:
         return {}
-    box = tuple(slice(min(a.start, b.start), max(a.stop, b.stop))
-                for a, b in zip(*boxes))
     return {s: line for s, line
             in _separation_lines(vol, slice_axis, scan_axis, pair, box)
             if not isinstance(line, MetricUndefinedError)}

@@ -165,6 +165,13 @@ class Volume:
             raise ValueError(f"bounding boxes need integer labels, got {self.data.dtype}")
         return tuple(ndi.find_objects(self.data))
 
+    def box(self, labels) -> tuple | None:
+        """Union of the ``label_boxes`` of ``labels``, None when none is present."""
+        boxes = self.label_boxes
+        found = [boxes[v - 1] for v in labels if 0 < v <= len(boxes) and boxes[v - 1]]
+        return tuple(slice(min(b[a].start for b in found), max(b[a].stop for b in found))
+                     for a in range(3)) if found else None
+
     def voxel_to_world(self, ijk) -> np.ndarray:
         """Map voxel indices to world mm.  Accepts shape (3,) or (N, 3)."""
         ijk = np.asarray(ijk, dtype=np.float64)

@@ -32,6 +32,7 @@ from .labels import (
     BILATERAL_FUSED,
     FALLBACK_PAIRS,
     FINE_LABELS,
+    FUSED_LABELS,
     LANDMARKS,
     PASS_TABLE,
     LabelError,
@@ -51,6 +52,8 @@ _CROSS_2D = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _FULL_2D = np.ones((3, 3), dtype=bool)
 
 _SEPARATOR_MODES = ("linear", "anterior", "posterior")
+
+_NO_BOX = (slice(0, 0),) * 3  # stands in for the box of absent labels
 
 
 @dataclass(frozen=True)
@@ -166,34 +169,33 @@ def build_midsagittal_plane(lms: LandmarkSet) -> Plane:
     return Plane(ac, normal)
 
 
-def _world_coords(vol: Volume, idx) -> np.ndarray:
-    return vol.voxel_to_world(np.stack(idx, axis=1).astype(np.float64))
+def _world_coords(vol: Volume, idx, box) -> np.ndarray:
+    """World mm of ``box``-local voxel indices, offset as integers first."""
+    pts = np.empty((idx[0].size, 3))
+    for axis, (a, s) in enumerate(zip(idx, box)):
+        pts[:, axis] = a + s.start  # exact; one column's int64 temporary at a time
+    return vol.voxel_to_world(pts)
 
 
 def split_hemispheres(
     vol12: Volume,
     plane: Plane,
     cfg: RefinementConfig | None = None,
-    mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Tag voxels by hemisphere: 0 untagged, 1 left, 2 right.
 
-    Only voxels in ``mask`` (default: every voxel of a bilateral fused
-    label) are tagged; midline structures stay untagged.  Right is the
-    non-negative side of the plane.  With slice_adjust on, the dividing
-    threshold of each coronal slice may move laterally up to 2 voxel
-    widths to maximize agreement with the previous slice's assignment,
-    sweeping posterior to anterior.
+    Every voxel of a bilateral fused label is tagged; midline structures
+    stay untagged.  Right is the non-negative side of the plane.  With
+    slice_adjust on, the dividing threshold of each coronal slice may
+    move laterally up to 2 voxel widths to maximize agreement with the
+    previous slice's assignment, sweeping posterior to anterior.
     """
     cfg = cfg or RefinementConfig()
-    data = vol12.data
-    if mask is None:
-        mask = np.isin(data, list(BILATERAL_FUSED))
-    hemi = np.zeros(data.shape, dtype=np.uint8)
-    idx = np.nonzero(mask)
-    if idx[0].size == 0:
-        return hemi
-    s = plane.signed_distance(_world_coords(vol12, idx))
+    hemi = np.zeros(vol12.dims, dtype=np.uint8)
+    box = vol12.box(BILATERAL_FUSED) or _NO_BOX
+    # box-local indices, in the C order of the full-volume call
+    idx = np.nonzero(np.isin(vol12.data[box], list(BILATERAL_FUSED)))
+    s = plane.signed_distance(_world_coords(vol12, idx, box))
 
     def assign(values, threshold=0.0):
         if cfg.midline_right_inclusive:
@@ -201,7 +203,7 @@ def split_hemispheres(
         return np.where(values > threshold, np.uint8(2), np.uint8(1))
 
     if not cfg.slice_adjust:
-        hemi[idx] = assign(s)
+        hemi[box][idx] = assign(s)
         return hemi
 
     # Each slice takes the shift d whose tags match the previous
@@ -222,20 +224,16 @@ def split_hemispheres(
             key = (agree, -abs(d), -d)
             if best_key is None or key > best_key:
                 best_key, best_tags = key, tags
-        hemi[ci, j, ck] = best_tags
-        prev = hemi[:, j, :]
+        hemi[box][ci, j, ck] = best_tags
+        prev = hemi[box][:, j, :]
     return hemi
 
 
 def _slice_center_y(vol12: Volume, js: np.ndarray) -> np.ndarray:
     """Representative world y per coronal slice, at the in-plane center."""
     nx, _, nz = vol12.dims
-    pts = np.column_stack([
-        np.full(js.shape, (nx - 1) / 2.0),
-        js.astype(np.float64),
-        np.full(js.shape, (nz - 1) / 2.0),
-    ])
-    return vol12.voxel_to_world(pts)[:, 1]
+    pts = np.broadcast_arrays((nx - 1) / 2.0, js.astype(np.float64), (nz - 1) / 2.0)
+    return vol12.voxel_to_world(np.stack(pts, axis=1))[:, 1]
 
 
 def _separator_x(cfg, x_ant, y_ant, x_post, y_post, ys: np.ndarray) -> np.ndarray:
@@ -249,24 +247,25 @@ def _separator_x(cfg, x_ant, y_ant, x_post, y_post, ys: np.ndarray) -> np.ndarra
 
 
 def _rule_sides(partial, vol12, fused, hemi, lms, cfg, side_landmarks):
-    """Yield (side, mask, landmark ids) for each side a rule splits.
+    """Yield (side, box, mask, landmark ids) for each side a rule splits.
 
-    Side 0 is left (hemisphere tag 1), side 1 right (tag 2);
-    ``side_landmarks[side]`` holds the landmark ids the side's rule
-    reads.  Every voxel of a non-empty side first gets the group's
-    fallback member from FALLBACK_PAIRS, and the rule then writes the
-    voxels it moves to the other member.  A side whose landmarks are
-    missing keeps the fallback under partial_rules and raises LabelError
-    otherwise.
+    ``mask`` holds the side's voxels in the group's bounding box ``box``;
+    the rule reads and writes ``partial[box]``.  Side 0 is left (tag 1),
+    side 1 right (tag 2); ``side_landmarks[side]`` holds the ids the
+    side's rule reads.  A non-empty side first gets the group's
+    FALLBACK_PAIRS member, then the rule writes the voxels it moves to
+    the other member.  A side whose landmarks are missing keeps the
+    fallback under partial_rules and raises LabelError otherwise.
     """
-    in_group = vol12.data == fused
+    box = vol12.box((fused,)) or _NO_BOX
+    in_group = vol12.data[box] == fused
     for side, (fallback, ids) in enumerate(zip(FALLBACK_PAIRS[fused], side_landmarks)):
-        m = in_group & (hemi == side + 1)
+        m = in_group & (hemi[box] == side + 1)
         if not m.any():
             continue
-        partial[m] = fallback
+        partial[box][m] = fallback
         if all(i in lms for i in ids):
-            yield side, m, ids
+            yield side, box, m, ids
         elif not cfg.partial_rules:
             lms.require(ids)
 
@@ -289,7 +288,7 @@ def separate_nacc_putamen(
     cfg = cfg or RefinementConfig()
     partial = np.zeros(vol12.dims, dtype=np.int16) if partial is None else partial.copy()
     contacts = ((3, 5), (4, 6))  # (anterior, posterior) per side
-    for side, m, (ant_id, post_id) in _rule_sides(partial, vol12, 5, hemi, lms, cfg, contacts):
+    for side, box, m, (ant_id, post_id) in _rule_sides(partial, vol12, 5, hemi, lms, cfg, contacts):
         x_ant, y_ant = float(lms[ant_id][0]), float(lms[ant_id][1])
         x_post, y_post = float(lms[post_id][0]), float(lms[post_id][1])
         if not y_ant > y_post:
@@ -297,14 +296,19 @@ def separate_nacc_putamen(
                 f"contact landmarks out of order: #{ant_id} y={y_ant:g} must be "
                 f"anterior to #{post_id} y={y_post:g}")
         idx = np.nonzero(m)
-        xs = _world_coords(vol12, idx)[:, 0]
+        xs = _world_coords(vol12, idx, box)[:, 0]
         js = np.unique(idx[1])
         sep_per_slice = _separator_x(cfg, x_ant, y_ant, x_post, y_post,
-                                     _slice_center_y(vol12, js))
+                                     _slice_center_y(vol12, js + box[1].start))
         sep = sep_per_slice[np.searchsorted(js, idx[1])]
         nacc = np.abs(xs) < np.abs(sep)
-        partial[tuple(a[nacc] for a in idx)] = (6, 7)[side]
+        partial[box][tuple(a[nacc] for a in idx)] = (6, 7)[side]
     return partial
+
+
+def _anterior_of(j: int, strict: bool) -> slice:
+    """Coronal slices anterior of slice j (and j unless strict)."""
+    return slice(max(j + 1 if strict else j, 0), None)  # a negative start would wrap
 
 
 def apply_coronal_extents(
@@ -324,15 +328,6 @@ def apply_coronal_extents(
     """
     cfg = cfg or RefinementConfig()
     partial = partial.copy()
-    ny = partial.shape[1]
-    jgrid = np.arange(ny, dtype=np.int64)[None, :, None]
-
-    def anterior_of(j):  # j-index test for "beyond the slice, anterior"
-        return jgrid > j if cfg.extent_strict else jgrid >= j
-
-    def posterior_of(j):
-        return jgrid < j if cfg.extent_strict else jgrid <= j
-
     # (put id, nacc id, anterior landmark, posterior landmark) per side
     for put_id, nacc_id, lm_ant, lm_post in ((10, 6, 1, 7), (11, 7, 2, 8)):
         j_ant = coronal_slice_index(vol12, lms[lm_ant]) if lm_ant in lms else None
@@ -345,14 +340,16 @@ def apply_coronal_extents(
                 f"extent landmarks out of order: #{lm_ant} slice {j_ant} is "
                 f"posterior to #{lm_post} slice {j_post}; rules (i)/(ii) conflict")
         if j_ant is not None:
-            partial[(partial == put_id) & anterior_of(j_ant)] = nacc_id
-        if j_post is not None:
-            partial[(partial == nacc_id) & posterior_of(j_post)] = put_id
+            view = partial[:, _anterior_of(j_ant, cfg.extent_strict)]
+            view[view == put_id] = nacc_id
+        if j_post is not None:  # slices posterior of j_post (and it unless strict)
+            view = partial[:, :max(j_post if cfg.extent_strict else j_post + 1, 0)]
+            view[view == nacc_id] = put_id
 
     if 9 in lms:
-        j9 = coronal_slice_index(vol12, lms[9])
-        move = (vol12.data == 3) & anterior_of(j9)
-        partial[move] = np.int16(cfg.third_ventricle_target)
+        ant = _anterior_of(coronal_slice_index(vol12, lms[9]), cfg.extent_strict)
+        view = partial[:, ant]
+        view[vol12.data[:, ant] == 3] = np.int16(cfg.third_ventricle_target)
     elif not cfg.partial_rules:
         lms.require((9,))
     return partial
@@ -373,11 +370,10 @@ def split_vdc(
     """
     cfg = cfg or RefinementConfig()
     partial = partial.copy()
-    jgrid = np.arange(partial.shape[1], dtype=np.int64)[None, :, None]
-    for side, m, (lm_id,) in _rule_sides(partial, vol12, 12, hemi, lms, cfg, ((11,), (12,))):
-        j_mb = coronal_slice_index(vol12, lms[lm_id])
-        ant = jgrid > j_mb if cfg.vdc_anterior_strict else jgrid >= j_mb
-        partial[m & ant] = (23, 24)[side]
+    for side, box, m, (lm_id,) in _rule_sides(partial, vol12, 12, hemi, lms, cfg, ((11,), (12,))):
+        j_mb = coronal_slice_index(vol12, lms[lm_id]) - box[1].start  # box-local
+        ant = _anterior_of(j_mb, cfg.vdc_anterior_strict)
+        partial[box][:, ant][m[:, ant]] = (23, 24)[side]
     return partial
 
 
@@ -402,12 +398,12 @@ def split_lv_ih(
 
     cfg = cfg or RefinementConfig()
     partial = partial.copy()
-    ny = partial.shape[1]
-    for side, m, (lm_id,) in _rule_sides(partial, vol12, 1, hemi, lms, cfg, ((13,), (14,))):
-        j_ih = coronal_slice_index(vol12, lms[lm_id])
+    for side, box, m, (lm_id,) in _rule_sides(partial, vol12, 1, hemi, lms, cfg, ((13,), (14,))):
+        j_ih = coronal_slice_index(vol12, lms[lm_id]) - box[1].start  # box-local
         lm_x, _, lm_z = (float(v) for v in lms[lm_id])
         prev_ih = None
-        for j in range(max(j_ih + 1, 0), ny):
+        # slices outside the box are empty: the chain has not started or ends
+        for j in range(max(j_ih + 1, 0), m.shape[1]):
             sl = m[:, j, :]
             if not sl.any():
                 if prev_ih is not None:
@@ -416,33 +412,35 @@ def split_lv_ih(
             comps, n = ndi.label(sl, structure=_CROSS_2D)
             if prev_ih is None:
                 ids = np.arange(1, n + 1)
-                w = _centroids_world(vol12, comps, ids, j)
+                w = _centroids_world(vol12, comps, ids, box, j)
                 pick = ids[np.argmin(np.hypot(w[:, 0] - lm_x, w[:, 2] - lm_z))]
             else:
                 reach = ndi.binary_dilation(prev_ih, structure=_FULL_2D)
                 ids = np.unique(comps[reach & (comps > 0)])
                 if ids.size == 0:
                     break
-                pick = ids[np.argmin(_centroids_world(vol12, comps, ids, j)[:, 2])]
+                pick = ids[np.argmin(_centroids_world(vol12, comps, ids, box, j)[:, 2])]
             prev_ih = comps == pick
-            partial[:, j, :][prev_ih] = (17, 18)[side]
+            partial[box][:, j, :][prev_ih] = (17, 18)[side]
     return partial
 
 
-def _centroids_world(vol12: Volume, comps: np.ndarray, ids: np.ndarray, j: int) -> np.ndarray:
-    """World centroids, shape (len(ids), 3), of components ``ids`` in slice j.
+def _centroids_world(vol12: Volume, comps, ids, box, j: int) -> np.ndarray:
+    """World centroids, shape (len(ids), 3), of components ``ids`` of
+    ``comps``, the crop of ``box``-local slice j.
 
-    The index sums are integers and so exact in float64.  Each centroid
-    is mapped on its own because a batched matrix product may round
-    differently from the single-point one, and ties between candidates
-    must break the same way whatever their number.
+    The index sums, box offset included, are integers and so exact in
+    float64.  Each centroid is mapped on its own because a batched
+    matrix product may round differently from the single-point one, and
+    ties between candidates must break the same way whatever their number.
     """
     ii, kk = np.nonzero(comps)
     lab = comps[ii, kk]
     count = np.bincount(lab)[ids]
-    ci = np.bincount(lab, weights=ii)[ids] / count
-    ck = np.bincount(lab, weights=kk)[ids] / count
-    return np.array([vol12.voxel_to_world((a, float(j), b)) for a, b in zip(ci, ck)])
+    ci = np.bincount(lab, weights=ii + box[0].start)[ids] / count
+    ck = np.bincount(lab, weights=kk + box[2].start)[ids] / count
+    return np.array([vol12.voxel_to_world((a, float(j + box[1].start), b))
+                     for a, b in zip(ci, ck)])
 
 
 def refine_full(
@@ -471,16 +469,18 @@ def refine_full(
     plane = build_midsagittal_plane(lms)
     data = can.data
     hemi = split_hemispheres(can, plane, cfg)
-    # every voxel starts at its group's hemisphere (or midline) member;
-    # the landmark rules below then move voxels within their group
-    partial = PASS_TABLE[hemi, data]
+    # every foreground voxel starts at its group's hemisphere (or midline)
+    # member; the landmark rules below then move voxels within their group
+    fg = can.box(FUSED_LABELS) or _NO_BOX
+    partial = np.zeros(data.shape, dtype=np.int16)
+    partial[fg] = PASS_TABLE[hemi[fg], data[fg]]
 
     partial = separate_nacc_putamen(can, lms, hemi, cfg, partial=partial)
     partial = apply_coronal_extents(partial, can, lms, cfg)
     partial = split_vdc(partial, can, lms, hemi, cfg)
     partial = split_lv_ih(partial, can, lms, hemi, cfg)
 
-    if not np.array_equal(partial != 0, data != 0):
+    if not np.array_equal(partial[fg] != 0, data[fg] != 0):
         raise AssertionError("refinement changed the foreground mask")
 
     return Volume(amap.invert(partial), vol12.affine, taxonomy="fine26")

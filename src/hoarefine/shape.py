@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .labels import LandmarkSet, N_LANDMARKS
+from .nifti import open_atomic
 
 CONFIG_DIM = 3 * N_LANDMARKS
 
@@ -279,9 +280,8 @@ def save_model(model: ShapeModel, path: str | Path) -> None:
         "mode_variances": model.mode_variances.tolist(),
         "variance_fraction_retained": model.variance_fraction_retained,
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    with open_atomic(path) as f:
+        f.write((json.dumps(doc, indent=2) + "\n").encode("utf-8"))
 
 
 def load_model(path: str | Path) -> ShapeModel:

@@ -467,6 +467,69 @@ class TestShapeCommands:
         assert "coefficients" in capsys.readouterr().err
 
 
+class TestAtomicReports:
+    """Reports, landmark files and shape models are written atomically."""
+
+    @pytest.fixture
+    def inputs(self, work, tmp_path):
+        root = tmp_path / "in"
+        root.mkdir()
+        lm = [str(work / "lm" / f"p{s}.json") for s in (0, 1, 2)]
+        assert main(["shape", "fit", *lm, "--selector", "2",
+                     "--out", str(root / "model.json")]) == 0
+        for name, shift in (("a", 0.5), ("b", 0.0)):
+            (root / f"{name}.csv").write_text(
+                "subject,dice\n" + "".join(f"s{i},{i + shift * (i % 3)}\n"
+                                           for i in range(8)))
+        return work, root, lm
+
+    @pytest.mark.parametrize("command", [
+        "evaluate", "roundtrip", "stats", "shape-fit", "shape-apply-json",
+        "shape-apply-csv", "shape-iterate", "shape-sample"])
+    def test_failed_write_leaves_no_file(self, inputs, tmp_path, monkeypatch,
+                                         capsys, command):
+        work, root, lm = inputs
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = str(out_dir / ("report.csv" if command.endswith("csv") else "report.json"))
+        model = str(root / "model.json")
+        argv = {
+            "evaluate": ["evaluate", str(work / "refined" / "p0.nii"),
+                         str(work / "src" / "p0.nii"), "--landmarks", lm[0]],
+            "roundtrip": ["roundtrip", str(work / "src" / "p0.nii"), "--landmarks", lm[0]],
+            "stats": ["stats", str(root / "a.csv"), str(root / "b.csv")],
+            "shape-fit": ["shape", "fit", *lm, "--selector", "2"],
+            "shape-apply-json": ["shape", "apply", model, "--coeffs", "0.5"],
+            "shape-apply-csv": ["shape", "apply", model, "--coeffs", "0.5"],
+            "shape-iterate": ["shape", "iterate", model, "--target", lm[1], "--steps", "2"],
+            "shape-sample": ["shape", "sample", "--center", "1,2,3", "--radius", "4",
+                             "--count", "10"],
+        }[command] + ["--out", out]
+        real_fdopen = os.fdopen
+
+        class HalfThenFail:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[:len(data) // 2])
+                self.f.flush()  # the partial bytes reach the file
+                raise OSError("disk full")
+
+        monkeypatch.setattr("hoarefine.nifti.os.fdopen",
+                            lambda fd, mode: HalfThenFail(real_fdopen(fd, mode)))
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: disk full"]
+        assert os.listdir(out_dir) == []
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

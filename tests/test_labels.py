@@ -63,6 +63,33 @@ def test_fuse_labels_round_values():
     assert fused.data.dtype == np.int16
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32])
+def test_fuse_labels_output_is_int16(dtype):
+    data = np.arange(27, dtype=dtype).reshape(3, 3, 3)
+    fused = fuse_labels(make_volume(data))
+    assert fused.data.dtype == np.int16
+    assert fused.data.ravel().tolist() == FUSE_LUT.tolist()
+
+
+def test_fuse_labels_peak_memory_260():
+    """The traced peak of fuse_labels at 260x311x260 stays under 3x the
+    int16 input: no int64 copy of the volume (that was 8x)."""
+    import tracemalloc
+
+    data = np.zeros((260, 311, 260), dtype=np.int16)
+    data[:, :, :27] = np.arange(27, dtype=np.int16)
+    vol = make_volume(data, taxonomy="fine26")
+    del data
+    tracemalloc.start()
+    try:
+        fused = fuse_labels(vol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fused.data[0, 0, :27].tolist() == FUSE_LUT.tolist()
+    assert peak < 3 * vol.data.nbytes, f"peak {peak / 2**20:.0f} MiB"
+
+
 def test_fuse_labels_rejects_fused_and_bad_values():
     with pytest.raises(LabelError):
         fuse_labels(make_volume(np.ones((2, 2, 2), dtype=np.int16),

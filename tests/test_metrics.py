@@ -265,6 +265,13 @@ class TestPasd:
         with pytest.raises(MetricError, match="no side"):
             spec.side("mid")
 
+    def test_float_labels_raise_metric_error(self):
+        floats = make_volume(self._gt().data.astype(np.float32), spacing=0.7)
+        with pytest.raises(MetricError, match="integer labels"):
+            pasd(self._gt(), floats, _spec("Put", "anterior"), self._lms(), "left")
+        with pytest.raises(MetricError, match="integer labels"):
+            extract_protocol_surface(floats, _spec("NAcc", "lateral"), LandmarkSet({}), "left")
+
     def test_sheared_grid_nearest_voxel_may_be_interior(self):
         # the y axis leans toward x (cosine 0.67): a diagonal step is
         # shorter than any face step, so a hole in the predicted putamen

@@ -138,6 +138,21 @@ def test_failed_gzip_write_leaves_no_partial_file(tmp_path, monkeypatch):
     assert read_volume(target).data.tobytes() == new.data.tobytes()
     assert os.listdir(tmp_path) == ["out.nii.gz"]
 
+def test_volume_box_is_union_of_label_boxes():
+    data = np.zeros((6, 7, 8), dtype=np.int16)
+    data[1, 2, 3] = 2
+    data[4, 5, 1:3] = 5
+    vol = make_volume(data)
+    assert vol.box((2,)) == (slice(1, 2), slice(2, 3), slice(3, 4))
+    assert vol.box((5,)) == (slice(4, 5), slice(5, 6), slice(1, 3))
+    assert vol.box((2, 5)) == (slice(1, 5), slice(2, 6), slice(1, 4))
+    # absent labels (1, 3) and labels above the maximum (6, 40) add nothing
+    assert vol.box((5, 1, 3, 6, 40, 2)) == vol.box((2, 5))
+    for labels in ((1,), (3, 4), (6,), (0,), ()):
+        assert vol.box(labels) is None
+    assert make_volume(np.zeros((2, 2, 2), dtype=np.uint8)).box((1,)) is None
+
+
 def test_taxonomy_tag_survives_round_trip(tmp_path):
     vol = make_volume(np.ones((3, 3, 3), dtype=np.int16), taxonomy="fine26")
     write_volume(vol, tmp_path / "t.nii.gz")
