@@ -107,6 +107,9 @@ assert BILATERAL_FUSED | MIDLINE_FUSED == set(FUSED_LABELS)
 assert not BILATERAL_FUSED & MIDLINE_FUSED
 assert set(FUSE_LUT[1:]) == set(FUSED_LABELS)
 assert len(FUSE_LUT) == len(FINE_LABELS) + 1
+# validate_labels relies on both taxonomies being the ids 1..max
+assert set(FINE_LABELS) == set(range(1, max(FINE_LABELS) + 1))
+assert set(FUSED_LABELS) == set(range(1, max(FUSED_LABELS) + 1))
 
 # (left fine id, right fine id) for fused structures whose split needs
 # no geometry beyond the hemisphere tag
@@ -150,8 +153,16 @@ class LabelError(Exception):
 
 
 def validate_labels(data: np.ndarray, taxonomy: str) -> None:
-    """Check every nonzero voxel carries an id of the given taxonomy."""
+    """Check every nonzero voxel carries an id of the given taxonomy.
+
+    The ids are 1..max, so integer data within 0..max passes on its
+    range alone; anything else goes through ``np.unique`` (a sorted
+    copy) to name the bad values.
+    """
     table = FINE_LABELS if taxonomy == "fine26" else FUSED_LABELS
+    if data.dtype.kind in "iu" and (
+            data.size == 0 or (data.min() >= 0 and data.max() <= max(table))):
+        return
     present = np.unique(data)
     bad = [int(v) for v in present if v != BACKGROUND and int(v) not in table]
     if bad:

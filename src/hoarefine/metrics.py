@@ -29,10 +29,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-# kept at module level: importing it in pasd instead raised the peak RSS
-# of an in-process 260x311x260 read/fuse/refine/write loop from 448 to
-# 486 MB, although that loop never calls pasd
-from scipy.spatial import cKDTree
 
 from .labels import FINE_HEMISPHERE, FINE_NAME, LandmarkSet
 from .nifti import Volume, reorient_to_canonical
@@ -278,6 +274,7 @@ def pasd(gt: Volume, pred: Volume, spec: BoundarySpec, lms: LandmarkSet,
     distances as the whole label.
     """
     import scipy.ndimage as ndi
+    from scipy.spatial import cKDTree
 
     _check_aligned(pred, gt)
     bside = spec.side(side)

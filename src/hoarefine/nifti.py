@@ -327,12 +327,11 @@ def write_volume(vol: Volume, path: str | Path) -> None:
                 raise NiftiError(f"label values [{mn}, {mx}] overflow int16 storage")
     else:
         out_dtype = np.dtype(np.float32)
-    payload = data.astype(out_dtype, copy=False)
 
     hdr = bytearray(HDR_SIZE)
     struct.pack_into("<i", hdr, 0, HDR_SIZE)
     struct.pack_into("<B", hdr, 38, ord("r"))  # legacy "regular" flag
-    dims = payload.shape
+    dims = data.shape
     struct.pack_into("<8h", hdr, 40, 3, dims[0], dims[1], dims[2], 1, 1, 1, 1)
     struct.pack_into("<h", hdr, 70, CODE_FOR_DTYPE[np.dtype(out_dtype)])
     struct.pack_into("<h", hdr, 72, out_dtype.itemsize * 8)
@@ -353,16 +352,17 @@ def write_volume(vol: Volume, path: str | Path) -> None:
         hdr[328:328 + len(tag)] = tag
     hdr[344:348] = MAGIC_SINGLE
 
-    blob = bytes(hdr) + b"\x00\x00\x00\x00" + payload.tobytes(order="F")
-
     with open_atomic(path) as f:
-        if path.suffix == ".gz":
-            # mtime pinned and name field blanked so identical volumes
-            # produce identical bytes regardless of output path or run time
-            with gzip.GzipFile(fileobj=f, mode="wb", mtime=0, filename="") as gz:
-                gz.write(blob)
-        else:
-            f.write(blob)
+        # mtime pinned and name field blanked so identical volumes
+        # produce identical bytes regardless of output path or run time
+        with (gzip.GzipFile(fileobj=f, mode="wb", mtime=0, filename="")
+              if path.suffix == ".gz" else contextlib.nullcontext(f)) as out:
+            out.write(hdr + b"\x00\x00\x00\x00")
+            # voxels in Fortran order, one k-plane at a time: memory stays
+            # at one plane, and deflate output does not depend on how its
+            # input is split
+            for k in range(dims[2]):
+                out.write(data[:, :, k].astype(out_dtype, copy=False).tobytes(order="F"))
 
 
 @contextlib.contextmanager

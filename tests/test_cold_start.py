@@ -1,9 +1,11 @@
 """Cold start: what a fresh interpreter loads for each step of the pipeline.
 
+The import loads numpy only.  ``fuse`` needs no scipy at all, ``refine``
+loads scipy.ndimage on the first call that uses it, and only PASD in
+``evaluate`` loads scipy.spatial (which brings scipy.sparse).
 scipy.stats is most of a cold ``import scipy`` and nothing on the
-fuse/refine/evaluate path needs it; scipy.ndimage loads on the first
-call that uses it.  Each check runs in a new interpreter, because this
-test process has long since imported both.
+fuse/refine/evaluate path needs it.  Each check runs in a new
+interpreter, because this test process has long since imported them all.
 """
 
 import json
@@ -19,14 +21,14 @@ import scipy.stats
 from hoarefine import wilcoxon_signed_rank
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PROBED = ("scipy", "scipy.stats", "scipy.ndimage", "scipy.spatial", "scipy.sparse")
 
 
 def _loaded_after(code: str, cwd: Path) -> dict:
-    """Run ``code`` in a fresh interpreter; which scipy modules it loaded."""
+    """Run ``code`` in a fresh interpreter; which of PROBED it loaded."""
     probe = code + (
         "\nimport json, sys\n"
-        "print(json.dumps({m: m in sys.modules for m in "
-        "('scipy.stats', 'scipy.ndimage')}))\n")
+        f"print(json.dumps({{m: m in sys.modules for m in {PROBED!r}}}))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -36,9 +38,13 @@ def _loaded_after(code: str, cwd: Path) -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
+def _only(*loaded: str) -> dict:
+    return {m: m in loaded for m in PROBED}
+
+
 def test_import_loads_neither(tmp_path):
     loaded = _loaded_after("import hoarefine, hoarefine.cli", tmp_path)
-    assert loaded == {"scipy.stats": False, "scipy.ndimage": False}
+    assert loaded == _only()
 
 
 def test_refine_loads_ndimage_only(tmp_path):
@@ -48,10 +54,10 @@ def test_refine_loads_ndimage_only(tmp_path):
         "vol, lms = generate_phantom(0)\n"
         "assert vol.dims == (96, 96, 96)\n"
         "fused = fuse_labels(vol)\n"
-        "assert 'scipy.ndimage' not in sys.modules\n"
+        "assert 'scipy' not in sys.modules\n"
         "assert (refine_full(fused, lms).data == vol.data).all()\n",
         tmp_path)
-    assert loaded == {"scipy.stats": False, "scipy.ndimage": True}
+    assert loaded == _only("scipy", "scipy.ndimage")
 
 
 def test_cli_fuse_loads_neither(tmp_path):
@@ -62,8 +68,23 @@ def test_cli_fuse_loads_neither(tmp_path):
         "from hoarefine.cli import main\n"
         "assert main(['fuse', 'fine.nii.gz', 'fused.nii.gz']) == 0\n",
         tmp_path)
-    assert loaded == {"scipy.stats": False, "scipy.ndimage": False}
+    assert loaded == _only()
     assert (tmp_path / "fused.nii.gz.manifest.json").exists()
+
+
+def test_cli_evaluate_loads_spatial(tmp_path):
+    from hoarefine import generate_phantom, write_landmarks, write_volume
+
+    vol, lms = generate_phantom(0)
+    write_volume(vol, tmp_path / "fine.nii.gz")
+    write_landmarks(lms, tmp_path / "lm.json")
+    loaded = _loaded_after(
+        "from hoarefine.cli import main\n"
+        "assert main(['evaluate', 'fine.nii.gz', 'fine.nii.gz',\n"
+        "             '--landmarks', 'lm.json', '--out', 'r.json']) == 0\n",
+        tmp_path)
+    assert loaded == _only("scipy", "scipy.ndimage", "scipy.spatial", "scipy.sparse")
+    assert (tmp_path / "r.json.manifest.json").exists()
 
 
 @pytest.mark.parametrize("ties", [False, True])

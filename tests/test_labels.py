@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hoarefine import (
     BILATERAL_FUSED,
@@ -106,6 +109,63 @@ def test_validate_labels_range():
         validate_labels(np.array([[[13]]]), "fused12")
     with pytest.raises(LabelError):
         validate_labels(np.array([[[-1]]]), "fine26")
+
+
+def _validate_reference(data, taxonomy):
+    """validate_labels as it was before the range check: np.unique always."""
+    table = FINE_LABELS if taxonomy == "fine26" else FUSED_LABELS
+    bad = [int(v) for v in np.unique(data) if v != 0 and int(v) not in table]
+    if bad:
+        raise LabelError(f"values {bad} are not {taxonomy} labels")
+
+
+def _outcome(fn, data, taxonomy):
+    try:
+        fn(data, taxonomy)
+    except Exception as exc:  # NaN and inf raise from int() in both
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def label_arrays(draw):
+    dtype = np.dtype(draw(st.sampled_from(["uint8", "int16", "uint16", "int32", "float32"])))
+    if dtype.kind == "f":
+        values = st.one_of(st.integers(0, 12).map(float), st.integers(-2, 30).map(float),
+                           st.sampled_from([-0.5, 0.5, 12.5, 26.5, np.nan, np.inf]),
+                           st.floats(width=32))
+    else:
+        info = np.iinfo(dtype)
+        values = st.one_of(st.integers(0, 12), st.integers(max(info.min, -2), 30),
+                           st.integers(info.min, info.max))
+    shape = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+    return draw(hnp.arrays(dtype, shape, elements=values))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(data=label_arrays(), taxonomy=st.sampled_from(["fine26", "fused12"]))
+@example(data=np.array([0.5], dtype=np.float32), taxonomy="fused12")
+@example(data=np.array([3, np.nan], dtype=np.float32), taxonomy="fine26")
+@example(data=np.zeros((0, 2), dtype=np.uint8), taxonomy="fused12")
+def test_validate_labels_matches_unique_reference(data, taxonomy):
+    assert _outcome(validate_labels, data, taxonomy) \
+        == _outcome(_validate_reference, data, taxonomy)
+
+
+def test_validate_labels_peak_memory_260():
+    """In-range labels at 260x311x260 pass with no volume-sized copy
+    (np.unique's sorted copy was 40 MiB)."""
+    import tracemalloc
+
+    data = np.zeros((260, 311, 260), dtype=np.int16)
+    data[:, :, :27] = np.arange(27, dtype=np.int16)
+    tracemalloc.start()
+    try:
+        validate_labels(data, "fine26")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_landmark_set_basics():

@@ -1,6 +1,7 @@
 """Volume I/O: header parsing, round trips, atomic writes, orientation."""
 
 import gzip
+import io
 import os
 import struct
 
@@ -108,6 +109,54 @@ def test_gzip_round_trip_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()  # gzip mtime pinned
     assert np.array_equal(read_volume(p2).data, vol.data)
 
+
+
+def _single_blob_gz(blob: bytes) -> bytes:
+    """The .nii.gz bytes of the writer that compressed the whole file in
+    one ``write`` call."""
+    buf = io.BytesIO()
+    with gzip.GzipFile(fileobj=buf, mode="wb", mtime=0, filename="") as gz:
+        gz.write(blob)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("data, stored", [
+    (np.random.default_rng(1).integers(0, 27, (40, 31, 52)).astype(np.int16), np.int16),
+    (np.random.default_rng(2).integers(0, 256, (23, 17, 11)).astype(np.uint8), np.uint8),
+    (np.random.default_rng(3).normal(size=(9, 8, 7)).astype(np.float32), np.float32),
+    (np.random.default_rng(4).integers(0, 27, (33, 20, 19)), np.uint8),  # int64
+    (np.random.default_rng(5).integers(-300, 300, (14, 15, 16)), np.int16),  # int64
+    (np.random.default_rng(6).integers(0, 27, (70, 90, 1)).astype(np.int16), np.int16),
+], ids=["int16", "uint8", "float32", "int64-to-uint8", "int64-to-int16", "nz1"])
+def test_streamed_write_matches_single_blob(tmp_path, data, stored):
+    vol = make_volume(data, spacing=(0.8, 1.0, 1.2), origin=(-3.0, 2.5, 7.0),
+                      taxonomy="fine26" if stored != np.float32 else None)
+    write_volume(vol, tmp_path / "v.nii")
+    write_volume(vol, tmp_path / "v.nii.gz")
+    plain = (tmp_path / "v.nii").read_bytes()
+    blob = plain[:352] + data.astype(stored).tobytes(order="F")
+    assert plain == blob
+    assert (tmp_path / "v.nii.gz").read_bytes() == _single_blob_gz(blob)
+
+
+@pytest.mark.parametrize("name", ["v.nii", "v.nii.gz"])
+def test_write_volume_peak_memory_260(tmp_path, name):
+    """Writing streams one k-plane at a time: the traced peak stays under
+    a quarter of the input (the whole-file blob was 2x)."""
+    import tracemalloc
+
+    data = np.zeros((260, 260, 260), dtype=np.int16)
+    data[:, :, :27] = np.arange(27, dtype=np.int16)
+    vol = make_volume(data)
+    del data
+    tracemalloc.start()
+    try:
+        write_volume(vol, tmp_path / name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < vol.data.nbytes / 4, f"peak {peak / 2**20:.1f} MiB"
+    assert np.array_equal(read_volume(tmp_path / name).data, vol.data)
 
 
 def test_failed_gzip_write_leaves_no_partial_file(tmp_path, monkeypatch):
