@@ -78,12 +78,14 @@ def _confusion(pred: Volume, gt: Volume) -> np.ndarray:
     if pred.dims != gt.dims:
         raise MetricError(f"dimension mismatch: {pred.dims} vs {gt.dims}")
     p, g = _fine_data(pred, "predicted"), _fine_data(gt, "reference")
+    if pred.order == "F":  # slab along the last axis, contiguous slabs
+        p, g = p.T, g.T
     counts = np.zeros(N_CLASSES * N_CLASSES, dtype=np.int64)
     step = max(1, _SLAB_VOXELS // max(1, p[0].size))
     for i in range(0, p.shape[0], step):
         pair = p[i:i + step] * np.int16(N_CLASSES)  # at least int16: no uint8 wrap
         pair += g[i:i + step]
-        counts += np.bincount(pair.ravel(), minlength=counts.size)
+        counts += np.bincount(pair.ravel(order="K"), minlength=counts.size)
     return counts.reshape(N_CLASSES, N_CLASSES)
 
 

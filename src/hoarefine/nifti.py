@@ -108,8 +108,10 @@ class Volume:
     """A 3D image with its voxel-to-world affine.
 
     ``data`` is locked read-only so refinement passes cannot mutate a
-    shared input in place; operations return new volumes.  ``taxonomy``
-    is None for non-label images, otherwise "fine26" or "fused12".
+    shared input in place; operations return new volumes.  The locked
+    copy keeps the memory order it is given (see ``order``).
+    ``taxonomy`` is None for non-label images, otherwise "fine26" or
+    "fused12".
     """
 
     data: np.ndarray
@@ -127,7 +129,7 @@ class Volume:
             raise ValueError(f"affine must be 4x4, got {affine.shape}")
         if abs(np.linalg.det(affine[:3, :3])) <= 1e-12:
             raise ValueError("affine linear part is singular")
-        data = data.copy()
+        data = data.copy(order="K")
         data.setflags(write=False)
         affine = affine.copy()
         affine.setflags(write=False)
@@ -139,6 +141,13 @@ class Volume:
     @property
     def dims(self) -> tuple[int, int, int]:
         return tuple(int(n) for n in self.data.shape)
+
+    @property
+    def order(self) -> str:
+        """Memory order of ``data``: "F" when Fortran-ordered (NIfTI's
+        voxel order), else "C"."""
+        flags = self.data.flags
+        return "F" if flags.f_contiguous and not flags.c_contiguous else "C"
 
     @property
     def spacing(self) -> tuple[float, float, float]:
@@ -163,7 +172,11 @@ class Volume:
 
         if not self.is_label:
             raise ValueError(f"bounding boxes need integer labels, got {self.data.dtype}")
-        return tuple(ndi.find_objects(self.data))
+        if self.order == "C":
+            return tuple(ndi.find_objects(self.data))
+        # find_objects walks memory in C order: scan F data as its C-ordered
+        # transpose and reverse the axes of each box
+        return tuple(b and b[::-1] for b in ndi.find_objects(self.data.T))
 
     def box(self, labels) -> tuple | None:
         """Union of the ``label_boxes`` of ``labels``, None when none is present."""
@@ -257,6 +270,8 @@ def read_volume(path: str | Path) -> Volume:
 
     if not np.isfinite(vox_offset):
         raise NiftiFormatError(f"{path}: vox_offset {vox_offset} is not finite")
+    if vox_offset != int(vox_offset):
+        raise NiftiFormatError(f"{path}: vox_offset {vox_offset} is not a whole byte count")
     # a single-file image starts after the header and its 4 extension bytes
     if vox_offset < HDR_SIZE + 4:
         raise NiftiFormatError(
@@ -267,6 +282,9 @@ def read_volume(path: str | Path) -> Volume:
     if len(raw) < need:
         raise NiftiFormatError(
             f"{path}: data block truncated ({len(raw)} bytes, need {need})")
+    # bytes past the block mean the header's dims or datatype are not the writer's
+    if len(raw) > need:
+        raise NiftiFormatError(f"{path}: {len(raw) - need} bytes after the data block")
     data = np.frombuffer(raw, dtype=dtype, count=n_vox, offset=offset)
     data = data.reshape(shape, order="F")
 
@@ -300,8 +318,9 @@ def read_volume(path: str | Path) -> Volume:
         data = (data.astype(np.float32) * slope + inter)
         slope, inter = 1.0, 0.0
 
-    # native byte order in memory regardless of file order
-    data = np.ascontiguousarray(data.astype(dtype.newbyteorder("="), copy=False))
+    # native byte order in memory regardless of file order; the voxels
+    # stay in the file's Fortran order
+    data = data.astype(dtype.newbyteorder("="), copy=False)
     return Volume(data, affine, taxonomy=taxonomy, scl_slope=slope, scl_inter=inter)
 
 
@@ -335,18 +354,15 @@ def write_volume(vol: Volume, path: str | Path) -> None:
     struct.pack_into("<8h", hdr, 40, 3, dims[0], dims[1], dims[2], 1, 1, 1, 1)
     struct.pack_into("<h", hdr, 70, CODE_FOR_DTYPE[np.dtype(out_dtype)])
     struct.pack_into("<h", hdr, 72, out_dtype.itemsize * 8)
-    sp = vol.spacing
-    struct.pack_into("<8f", hdr, 76, 1.0, sp[0], sp[1], sp[2], 0.0, 0.0, 0.0, 0.0)
     struct.pack_into("<f", hdr, 108, float(HDR_SIZE + 4))  # 4-byte extender pad
-    struct.pack_into("<f", hdr, 112, float(vol.scl_slope))
-    struct.pack_into("<f", hdr, 116, float(vol.scl_inter))
     struct.pack_into("<h", hdr, 252, 0)  # qform_code: sform is authoritative
     struct.pack_into("<h", hdr, 254, 2)  # sform_code: aligned to some template
-    aff = vol.affine
-    struct.pack_into("<12f", hdr, 280,
-                     aff[0, 0], aff[0, 1], aff[0, 2], aff[0, 3],
-                     aff[1, 0], aff[1, 1], aff[1, 2], aff[1, 3],
-                     aff[2, 0], aff[2, 1], aff[2, 2], aff[2, 3])
+    try:  # a finite value beyond float32 range has no header encoding
+        struct.pack_into("<8f", hdr, 76, 1.0, *vol.spacing, 0.0, 0.0, 0.0, 0.0)
+        struct.pack_into("<2f", hdr, 112, vol.scl_slope, vol.scl_inter)
+        struct.pack_into("<12f", hdr, 280, *vol.affine[:3].ravel())  # srow_x/y/z
+    except OverflowError as exc:
+        raise NiftiError(f"{path}: spacing, scaling or affine outside float32: {exc}") from exc
     if vol.taxonomy is not None:
         tag = TAXONOMY_TAGS[vol.taxonomy]
         hdr[328:328 + len(tag)] = tag

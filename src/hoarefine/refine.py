@@ -191,7 +191,7 @@ def split_hemispheres(
     previous slice's assignment, sweeping posterior to anterior.
     """
     cfg = cfg or RefinementConfig()
-    hemi = np.zeros(vol12.dims, dtype=np.uint8)
+    hemi = np.zeros(vol12.dims, dtype=np.uint8, order=vol12.order)
     box = vol12.box(BILATERAL_FUSED) or _NO_BOX
     # box-local indices, in the C order of the full-volume call
     idx = np.nonzero(np.isin(vol12.data[box], list(BILATERAL_FUSED)))
@@ -286,7 +286,8 @@ def separate_nacc_putamen(
     (|x| < |separator x|) become accumbens, the rest putamen.
     """
     cfg = cfg or RefinementConfig()
-    partial = np.zeros(vol12.dims, dtype=np.int16) if partial is None else partial.copy()
+    partial = (np.zeros(vol12.dims, dtype=np.int16, order=vol12.order) if partial is None
+               else partial.copy(order="K"))
     contacts = ((3, 5), (4, 6))  # (anterior, posterior) per side
     for side, box, m, (ant_id, post_id) in _rule_sides(partial, vol12, 5, hemi, lms, cfg, contacts):
         x_ant, y_ant = float(lms[ant_id][0]), float(lms[ant_id][1])
@@ -327,7 +328,7 @@ def apply_coronal_extents(
     off.  Idempotent: a second application changes nothing.
     """
     cfg = cfg or RefinementConfig()
-    partial = partial.copy()
+    partial = partial.copy(order="K")
     # (put id, nacc id, anterior landmark, posterior landmark) per side
     for put_id, nacc_id, lm_ant, lm_post in ((10, 6, 1, 7), (11, 7, 2, 8)):
         j_ant = coronal_slice_index(vol12, lms[lm_ant]) if lm_ant in lms else None
@@ -369,7 +370,7 @@ def split_vdc(
     posterior part (25/26).
     """
     cfg = cfg or RefinementConfig()
-    partial = partial.copy()
+    partial = partial.copy(order="K")
     for side, box, m, (lm_id,) in _rule_sides(partial, vol12, 12, hemi, lms, cfg, ((11,), (12,))):
         j_mb = coronal_slice_index(vol12, lms[lm_id]) - box[1].start  # box-local
         ant = _anterior_of(j_mb, cfg.vdc_anterior_strict)
@@ -397,7 +398,7 @@ def split_lv_ih(
     import scipy.ndimage as ndi
 
     cfg = cfg or RefinementConfig()
-    partial = partial.copy()
+    partial = partial.copy(order="K")
     for side, box, m, (lm_id,) in _rule_sides(partial, vol12, 1, hemi, lms, cfg, ((13,), (14,))):
         j_ih = coronal_slice_index(vol12, lms[lm_id]) - box[1].start  # box-local
         lm_x, _, lm_z = (float(v) for v in lms[lm_id])
@@ -472,7 +473,7 @@ def refine_full(
     # every foreground voxel starts at its group's hemisphere (or midline)
     # member; the landmark rules below then move voxels within their group
     fg = can.box(FUSED_LABELS) or _NO_BOX
-    partial = np.zeros(data.shape, dtype=np.int16)
+    partial = np.zeros(data.shape, dtype=np.int16, order=can.order)
     partial[fg] = PASS_TABLE[hemi[fg], data[fg]]
 
     partial = separate_nacc_putamen(can, lms, hemi, cfg, partial=partial)

@@ -1,18 +1,25 @@
 """End-to-end command line behavior, exit codes, and manifests."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
 import struct
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoarefine import (
     LandmarkSet,
     Volume,
     degrade_phantom,
+    fuse_labels,
     generate_phantom,
     parse_landmarks,
     read_volume,
@@ -259,6 +266,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, defect, code", [
         ("fuse", "truncated-gz", 1),
         ("fuse", "vox-offset-0", 1),
+        ("fuse", "vox-offset-352.9", 1),
+        ("fuse", "spacing-beyond-float32", 1),
         ("refine", "truncated-gz", 1),
         ("evaluate", "truncated-gz", 1),
         ("refine", "oblique-affine", 1),
@@ -278,10 +287,17 @@ class TestExitCodes:
             raw = gz.read_bytes()
             gz.write_bytes(raw[:len(raw) // 2])
             vol = gz
-        elif defect == "vox-offset-0":
+        elif defect.startswith("vox-offset-"):
             raw = bytearray(vol.read_bytes())
-            struct.pack_into("<f", raw, 108, 0.0)
-            vol = tmp_path / "offset0.nii"
+            struct.pack_into("<f", raw, 108, float(defect.rsplit("-", 1)[1]))
+            vol = tmp_path / "bad-offset.nii"
+            vol.write_bytes(bytes(raw))
+        elif defect == "spacing-beyond-float32":
+            # each srow value fits float32, the x column's norm does not
+            raw = bytearray(vol.read_bytes())
+            struct.pack_into("<f", raw, 280, 3e38)  # srow_x[0]
+            struct.pack_into("<f", raw, 296, 3e38)  # srow_y[0]
+            vol = tmp_path / "huge.nii"
             vol.write_bytes(bytes(raw))
         elif defect == "oblique-affine":
             # 45 degrees about y: two stored axes tie for world x
@@ -535,3 +551,62 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip()
+
+
+# (name, byte offset, struct format) of each header field the mutation
+# test rewrites; the intent_name tag and the payload stay as written
+HEADER_FIELDS = [("sizeof_hdr", 0, "i"), ("datatype", 70, "h"), ("bitpix", 72, "h"),
+                 ("vox_offset", 108, "f"), ("qform_code", 252, "h"),
+                 ("sform_code", 254, "h"), ("magic", 344, "4s")]
+HEADER_FIELDS += [(f"dim[{i}]", 40 + 2 * i, "h") for i in range(8)]
+HEADER_FIELDS += [(f"pixdim[{i}]", 76 + 4 * i, "f") for i in range(8)]
+HEADER_FIELDS += [(f"quatern_{c}", 256 + 4 * i, "f") for i, c in enumerate("bcd")]
+HEADER_FIELDS += [(f"qoffset_{c}", 268 + 4 * i, "f") for i, c in enumerate("xyz")]
+HEADER_FIELDS += [(f"srow[{i}]", 280 + 4 * i, "f") for i in range(12)]
+
+_SHORTS = st.one_of(st.sampled_from((-1, 0, 1, 2, 3, 4, 5, 7, 8, 16, 64, 512, 32767, -32768)),
+                    st.integers(-2**15, 2**15 - 1))
+_FLOATS = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, 348.0, 352.0, 352.5, 356.0,
+                                     1e-30, 3e38, float("nan"), float("inf"))),
+                    st.floats(width=32))
+_VALUES = {"i": st.one_of(st.sampled_from((0, 352, 0x5c010000, -348)),
+                          st.integers(-2**31, 2**31 - 1)),
+           "h": _SHORTS, "f": _FLOATS,
+           "4s": st.one_of(st.sampled_from((b"ni1\x00", b"n+2\x00", b"\x00" * 4)),
+                           st.binary(min_size=4, max_size=4))}
+
+
+@pytest.fixture(scope="module")
+def header_case(tmp_path_factory):
+    """A small valid fine-label .nii and the fused data of its unmutated read."""
+    path = tmp_path_factory.mktemp("header") / "valid.nii"
+    data = np.random.default_rng(0).integers(0, 27, (5, 4, 3)).astype(np.uint8)
+    affine = np.diag([0.5, 0.75, 1.0, 1.0])
+    affine[:3, 3] = (-1.0, 2.0, -0.5)
+    write_volume(Volume(data, affine, taxonomy="fine26"), path)
+    return path.read_bytes(), fuse_labels(read_volume(path)).data
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_header_mutation_is_read_exactly_or_refused(header_case, data):
+    """One mutated header field: ``fuse`` either exits 0 with the data of
+    the unmutated read, or exits 1 or 2 with one stderr line.  Anything
+    else, a traceback included, fails."""
+    raw, want = header_case
+    name, offset, fmt = data.draw(st.sampled_from(HEADER_FIELDS), label="field")
+    value = data.draw(_VALUES[fmt], label="value")
+    mutated = bytearray(raw)
+    struct.pack_into("<" + fmt, mutated, offset, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "in.nii", Path(tmp) / "out.nii"
+        src.write_bytes(bytes(mutated))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["fuse", str(src), str(out)])
+        if code == 0:
+            got = read_volume(out).data
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        else:
+            assert code in (1, 2), (name, code)
+            assert len(err.getvalue().splitlines()) == 1, (name, err.getvalue())
