@@ -84,7 +84,7 @@ def _load_config_file(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise NiftiError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
         raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"config {path} must hold a JSON object")

@@ -231,7 +231,7 @@ class LandmarkSet:
                 raise LabelError(f"unknown landmark id {lid}")
             try:
                 arr = np.asarray(xyz, dtype=np.float64)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):  # an int beyond float64
                 arr = None
             if arr is None or arr.shape != (3,) or not np.all(np.isfinite(arr)):
                 raise LabelError(f"landmark {lid} needs a finite 3-vector, got {xyz!r}")
@@ -284,7 +284,8 @@ def parse_landmarks(path: str | Path) -> LandmarkSet:
         {"space": "world_mm", "frame": "RAS",
          "landmarks": [{"id": 10, "name": "AC", "xyz": [x, y, z]}, ...]}
 
-    CSV mirror: header ``id,name,x,y,z``, one row per landmark.  Names
+    Ids and coordinates must be JSON numbers.  CSV mirror: header
+    ``id,name,x,y,z`` and no other column, one row per landmark.  Names
     are cross-checked against the protocol catalog when present.
     """
     path = Path(path)
@@ -302,32 +303,39 @@ def parse_landmarks(path: str | Path) -> LandmarkSet:
         for e in entries:
             if not isinstance(e, dict) or not {"id", "xyz"} <= e.keys():
                 raise LabelError(f"{path}: landmark entry {e!r} needs 'id' and 'xyz'")
-            lid = e["id"]
-            # bool is an int subclass; 3.0 is an integer, 3.7 and "3" are not
-            if isinstance(lid, bool) or not (
-                    isinstance(lid, int) or isinstance(lid, float) and lid.is_integer()):
+            lid = e["id"]  # 3.0 is an integer; 3.7, "3" and true are not
+            if type(lid) is not int and not (type(lid) is float and lid.is_integer()):
                 raise LabelError(f"{path}: landmark id {lid!r} is not an integer")
             lid = int(lid)
             _check_name(path, lid, e.get("name"))
             if lid in points:
                 raise LabelError(f"{path}: duplicate landmark id {lid}")
-            points[lid] = e["xyz"]
+            xyz = e["xyz"]  # numbers only: float() would also take "1" and true
+            if isinstance(xyz, list) and any(type(v) not in (int, float) for v in xyz):
+                raise LabelError(f"{path}: landmark {lid} xyz must hold numbers, got {xyz!r}")
+            points[lid] = xyz
         return LandmarkSet(points)
     if path.suffix.lower() == ".csv":
         points = {}
         with open(path, newline="") as f:
             reader = csv.DictReader(f)
-            for row in reader:
-                try:
-                    lid = int(row["id"])
-                    xyz = (float(row["x"]), float(row["y"]), float(row["z"]))
-                except (KeyError, TypeError, ValueError):
-                    raise LabelError(f"{path}: line {reader.line_num} needs an "
-                                     "integer id and numeric x, y, z") from None
-                _check_name(path, lid, row.get("name"))
-                if lid in points:
-                    raise LabelError(f"{path}: duplicate landmark id {lid}")
-                points[lid] = xyz
+            try:
+                for row in reader:
+                    if not row.keys() <= {"id", "name", "x", "y", "z"}:  # key None: extra fields
+                        raise LabelError(f"{path}: line {reader.line_num} has a field "
+                                         "beyond id,name,x,y,z")
+                    try:
+                        lid = int(row["id"])
+                        xyz = (float(row["x"]), float(row["y"]), float(row["z"]))
+                    except (KeyError, TypeError, ValueError):
+                        raise LabelError(f"{path}: line {reader.line_num} needs an "
+                                         "integer id and numeric x, y, z") from None
+                    _check_name(path, lid, row.get("name"))
+                    if lid in points:
+                        raise LabelError(f"{path}: duplicate landmark id {lid}")
+                    points[lid] = xyz
+            except csv.Error as exc:  # an oversized field; a NUL before Python 3.11
+                raise LabelError(f"{path}: {exc}") from None
         if not points:
             raise LabelError(f"{path}: no landmark rows")
         return LandmarkSet(points)
@@ -337,7 +345,7 @@ def parse_landmarks(path: str | Path) -> LandmarkSet:
 def _check_name(path: Path, lid: int, name) -> None:
     if lid not in LANDMARKS:
         raise LabelError(f"{path}: unknown landmark id {lid}")
-    if name and name != NAME_FOR_ID[lid]:
+    if name not in (None, "") and name != NAME_FOR_ID[lid]:
         raise LabelError(
             f"{path}: landmark {lid} named {name!r}, catalog says {NAME_FOR_ID[lid]!r}")
 

@@ -31,7 +31,6 @@ import numpy as np
 from .labels import (
     BILATERAL_FUSED,
     FALLBACK_PAIRS,
-    FINE_LABELS,
     FUSED_LABELS,
     LANDMARKS,
     PASS_TABLE,
@@ -51,9 +50,10 @@ class RuleGeometryError(Exception):
 _CROSS_2D = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _FULL_2D = np.ones((3, 3), dtype=bool)
 
-_SEPARATOR_MODES = ("linear", "anterior", "posterior")
-
 _NO_BOX = (slice(0, 0),) * 3  # stands in for the box of absent labels
+
+_BOOL_SPELLINGS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+                   **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 @dataclass(frozen=True)
@@ -81,64 +81,34 @@ class Plane:
 
 @dataclass(frozen=True)
 class RefinementConfig:
-    """Tunable conventions; defaults are the documented reference path.
+    """The two switches of the refinement protocol; the rules are fixed.
 
-    separator_mode: accumbens/putamen separator placement per slice,
-        "linear" (interpolated between contacts), "anterior" or
-        "posterior" (constant at that contact's x).
     slice_adjust: let the hemisphere dividing line shift laterally up
         to 2 voxels per coronal slice to agree with the previous slice.
-    third_ventricle_target: fine id that anterior third-ventricle
-        voxels are demoted to (CSF by default).
-    midline_right_inclusive: voxels exactly on the midsagittal plane
-        count as right.
-    extent_strict: coronal extent rules leave the landmark slice
-        itself untouched (strict inequality).
-    vdc_anterior_strict: the mammillary slice belongs to the posterior
-        VDC part.
     partial_rules: allow incomplete landmark sets; splits whose
         landmarks are missing fall back to the dominant member.
     """
 
-    separator_mode: str = "linear"
     slice_adjust: bool = False
-    third_ventricle_target: int = 3
-    midline_right_inclusive: bool = True
-    extent_strict: bool = True
-    vdc_anterior_strict: bool = True
     partial_rules: bool = False
 
     def __post_init__(self):
-        if self.separator_mode not in _SEPARATOR_MODES:
-            raise ValueError(
-                f"separator_mode must be one of {_SEPARATOR_MODES}, "
-                f"got {self.separator_mode!r}")
-        if self.third_ventricle_target not in FINE_LABELS:
-            raise ValueError(
-                f"third_ventricle_target {self.third_ventricle_target} "
-                f"is not a fine label id")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{f.name}: expected a boolean, got {value!r}")
 
     @classmethod
     def from_mapping(cls, mapping) -> "RefinementConfig":
-        """Build a config from string-valued keys (config files, flags)."""
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        """Build a config from a mapping; strings such as "yes" or "off" spell booleans."""
+        names = {f.name for f in dataclasses.fields(cls)}
         kwargs = {}
         for key, value in mapping.items():
             name = str(key).strip().replace("-", "_")
-            if name not in types:
+            if name not in names:
                 raise ValueError(f"unknown config key {key!r}")
             if isinstance(value, str):
-                value = value.strip()
-                if types[name] == "bool":
-                    low = value.lower()
-                    if low in ("1", "true", "yes", "on"):
-                        value = True
-                    elif low in ("0", "false", "no", "off"):
-                        value = False
-                    else:
-                        raise ValueError(f"{key}: expected a boolean, got {value!r}")
-                elif types[name] == "int":
-                    value = int(value)
+                value = _BOOL_SPELLINGS.get(value.strip().lower(), value)
             kwargs[name] = value
         return cls(**kwargs)
 
@@ -185,10 +155,11 @@ def split_hemispheres(
     """Tag voxels by hemisphere: 0 untagged, 1 left, 2 right.
 
     Every voxel of a bilateral fused label is tagged; midline structures
-    stay untagged.  Right is the non-negative side of the plane.  With
-    slice_adjust on, the dividing threshold of each coronal slice may
-    move laterally up to 2 voxel widths to maximize agreement with the
-    previous slice's assignment, sweeping posterior to anterior.
+    stay untagged.  Right is the non-negative side of the plane, the
+    plane itself included.  With slice_adjust on, the dividing threshold
+    of each coronal slice may move laterally up to 2 voxel widths to
+    maximize agreement with the previous slice's assignment, sweeping
+    posterior to anterior.
     """
     cfg = cfg or RefinementConfig()
     hemi = np.zeros(vol12.dims, dtype=np.uint8, order=vol12.order)
@@ -198,9 +169,7 @@ def split_hemispheres(
     s = plane.signed_distance(_world_coords(vol12, idx, box))
 
     def assign(values, threshold=0.0):
-        if cfg.midline_right_inclusive:
-            return np.where(values >= threshold, np.uint8(2), np.uint8(1))
-        return np.where(values > threshold, np.uint8(2), np.uint8(1))
+        return np.where(values >= threshold, np.uint8(2), np.uint8(1))
 
     if not cfg.slice_adjust:
         hemi[box][idx] = assign(s)
@@ -236,13 +205,8 @@ def _slice_center_y(vol12: Volume, js: np.ndarray) -> np.ndarray:
     return vol12.voxel_to_world(np.stack(pts, axis=1))[:, 1]
 
 
-def _separator_x(cfg, x_ant, y_ant, x_post, y_post, ys: np.ndarray) -> np.ndarray:
-    if cfg.separator_mode == "anterior":
-        return np.full(ys.shape, x_ant)
-    if cfg.separator_mode == "posterior":
-        return np.full(ys.shape, x_post)
-    t = (ys - y_post) / (y_ant - y_post)
-    t = np.clip(t, 0.0, 1.0)
+def _separator_x(x_ant, y_ant, x_post, y_post, ys: np.ndarray) -> np.ndarray:
+    t = np.clip((ys - y_post) / (y_ant - y_post), 0.0, 1.0)
     return x_post + t * (x_ant - x_post)
 
 
@@ -299,7 +263,7 @@ def separate_nacc_putamen(
         idx = np.nonzero(m)
         xs = _world_coords(vol12, idx, box)[:, 0]
         js = np.unique(idx[1])
-        sep_per_slice = _separator_x(cfg, x_ant, y_ant, x_post, y_post,
+        sep_per_slice = _separator_x(x_ant, y_ant, x_post, y_post,
                                      _slice_center_y(vol12, js + box[1].start))
         sep = sep_per_slice[np.searchsorted(js, idx[1])]
         nacc = np.abs(xs) < np.abs(sep)
@@ -307,9 +271,9 @@ def separate_nacc_putamen(
     return partial
 
 
-def _anterior_of(j: int, strict: bool) -> slice:
-    """Coronal slices anterior of slice j (and j unless strict)."""
-    return slice(max(j + 1 if strict else j, 0), None)  # a negative start would wrap
+def _anterior_of(j: int) -> slice:
+    """Coronal slices strictly anterior of slice j."""
+    return slice(max(j + 1, 0), None)  # a negative start would wrap
 
 
 def apply_coronal_extents(
@@ -323,9 +287,8 @@ def apply_coronal_extents(
     (i) putamen strictly anterior of the #1/#2 slice becomes accumbens;
     (ii) accumbens strictly posterior of the #7/#8 slice becomes
     putamen; (iii) third-ventricle voxels strictly anterior of the #9
-    slice are demoted to the configured CSF target.  The landmark slice
-    itself keeps its label (exclusive boundary) unless extent_strict is
-    off.  Idempotent: a second application changes nothing.
+    slice are demoted to CSF (fine id 3).  The landmark slice itself
+    keeps its label.  Idempotent: a second application changes nothing.
     """
     cfg = cfg or RefinementConfig()
     partial = partial.copy(order="K")
@@ -341,16 +304,15 @@ def apply_coronal_extents(
                 f"extent landmarks out of order: #{lm_ant} slice {j_ant} is "
                 f"posterior to #{lm_post} slice {j_post}; rules (i)/(ii) conflict")
         if j_ant is not None:
-            view = partial[:, _anterior_of(j_ant, cfg.extent_strict)]
+            view = partial[:, _anterior_of(j_ant)]
             view[view == put_id] = nacc_id
-        if j_post is not None:  # slices posterior of j_post (and it unless strict)
-            view = partial[:, :max(j_post if cfg.extent_strict else j_post + 1, 0)]
+        if j_post is not None:  # slices strictly posterior of j_post
+            view = partial[:, :max(j_post, 0)]
             view[view == nacc_id] = put_id
 
     if 9 in lms:
-        ant = _anterior_of(coronal_slice_index(vol12, lms[9]), cfg.extent_strict)
-        view = partial[:, ant]
-        view[vol12.data[:, ant] == 3] = np.int16(cfg.third_ventricle_target)
+        ant = _anterior_of(coronal_slice_index(vol12, lms[9]))
+        partial[:, ant][vol12.data[:, ant] == 3] = 3
     elif not cfg.partial_rules:
         lms.require((9,))
     return partial
@@ -373,7 +335,7 @@ def split_vdc(
     partial = partial.copy(order="K")
     for side, box, m, (lm_id,) in _rule_sides(partial, vol12, 12, hemi, lms, cfg, ((11,), (12,))):
         j_mb = coronal_slice_index(vol12, lms[lm_id]) - box[1].start  # box-local
-        ant = _anterior_of(j_mb, cfg.vdc_anterior_strict)
+        ant = _anterior_of(j_mb)
         partial[box][:, ant][m[:, ant]] = (23, 24)[side]
     return partial
 

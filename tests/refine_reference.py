@@ -6,11 +6,18 @@ partial-rules fallback, a dict-based ``slice_adjust`` sweep and a
 per-component centroid search in the inferior-horn chase.  The package
 implementation is table-driven; the differential tests in
 ``test_refine_differential.py`` require both to agree byte for byte.
-Shared pieces that are not refinement passes (config, plane,
-slice snapping, reorientation) are imported from the package.
+Shared pieces that are not refinement passes (plane, slice snapping,
+reorientation) are imported from the package.
+
+The reference rules read seven conventions from ``ReferenceConfig``.
+Five are fixed at the protocol's values, which the package hard-codes;
+``slice_adjust`` and ``partial_rules`` come from the package
+``RefinementConfig`` each function is given.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.ndimage as ndi
@@ -37,6 +44,38 @@ _CROSS_2D = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _FULL_2D = np.ones((3, 3), dtype=bool)
 
 
+@dataclass(frozen=True)
+class ReferenceConfig:
+    """Conventions of the reference rules, at the protocol's values.
+
+    separator_mode: accumbens/putamen separator placement per slice,
+        "linear" (interpolated between contacts), "anterior" or
+        "posterior" (constant at that contact's x).
+    third_ventricle_target: fine id that anterior third-ventricle
+        voxels are demoted to.
+    midline_right_inclusive: voxels exactly on the midsagittal plane
+        count as right.
+    extent_strict: coronal extent rules leave the landmark slice
+        itself untouched (strict inequality).
+    vdc_anterior_strict: the mammillary slice belongs to the posterior
+        VDC part.
+    """
+
+    separator_mode: str = "linear"
+    slice_adjust: bool = False
+    third_ventricle_target: int = 3
+    midline_right_inclusive: bool = True
+    extent_strict: bool = True
+    vdc_anterior_strict: bool = True
+    partial_rules: bool = False
+
+
+def _conventions(cfg: RefinementConfig | None) -> ReferenceConfig:
+    """The reference conventions for a package config (None: defaults)."""
+    cfg = cfg or RefinementConfig()
+    return ReferenceConfig(slice_adjust=cfg.slice_adjust, partial_rules=cfg.partial_rules)
+
+
 def _world_coords(vol: Volume, idx) -> np.ndarray:
     return vol.voxel_to_world(np.stack(idx, axis=1).astype(np.float64))
 
@@ -56,7 +95,7 @@ def split_hemispheres(
     widths to maximize agreement with the previous slice's assignment,
     sweeping posterior to anterior.
     """
-    cfg = cfg or RefinementConfig()
+    cfg = _conventions(cfg)
     data = vol12.data
     if mask is None:
         mask = np.isin(data, list(BILATERAL_FUSED))
@@ -146,7 +185,7 @@ def separate_nacc_putamen(
     landmark outside their span.  Voxels more medial than the separator
     (|x| < |separator x|) become accumbens, the rest putamen.
     """
-    cfg = cfg or RefinementConfig()
+    cfg = _conventions(cfg)
     data = vol12.data
     partial = np.zeros(data.shape, dtype=np.int16) if partial is None else partial.copy()
     for tag, (nacc_id, put_id), (ant_id, post_id) in _NACC_PUT_SIDES:
@@ -191,7 +230,7 @@ def apply_coronal_extents(
     itself keeps its label (exclusive boundary) unless extent_strict is
     off.  Idempotent: a second application changes nothing.
     """
-    cfg = cfg or RefinementConfig()
+    cfg = _conventions(cfg)
     partial = partial.copy()
     ny = partial.shape[1]
     jgrid = np.arange(ny, dtype=np.int64)[None, :, None]
@@ -240,7 +279,7 @@ def split_vdc(
     part (23/24); the slice itself and everything posterior become the
     posterior part (25/26).
     """
-    cfg = cfg or RefinementConfig()
+    cfg = _conventions(cfg)
     partial = partial.copy()
     data = vol12.data
     ny = partial.shape[1]
@@ -278,7 +317,7 @@ def split_lv_ih(
     component nearest the landmark's (x, z).  A slice with no adjacent
     component ends the chain; everything else stays lateral ventricle.
     """
-    cfg = cfg or RefinementConfig()
+    cfg = _conventions(cfg)
     partial = partial.copy()
     data = vol12.data
     ny = partial.shape[1]
@@ -359,7 +398,7 @@ def refine_full(
     reproduces the input except where the third-ventricle exclusion
     moved fluid into CSF (a cross-group reassignment by design).
     """
-    cfg = cfg or RefinementConfig()
+    cfg = _conventions(cfg)
     if vol12.taxonomy == "fine26":
         raise LabelError("refine_full expects the fused 12-label taxonomy")
     if not vol12.is_label:

@@ -1,8 +1,10 @@
 """End-to-end command line behavior, exit codes, and manifests."""
 
 import contextlib
+import csv
 import io
 import json
+import math
 import os
 import shutil
 import struct
@@ -27,6 +29,8 @@ from hoarefine import (
     write_volume,
 )
 from hoarefine.cli import main
+
+from conftest import resample
 
 
 @pytest.fixture(autouse=True)
@@ -77,7 +81,7 @@ class TestPipeline:
         assert doc["command"] == "refine"
         assert [p.endswith(("p1.nii", "p1.json")) for p in doc["inputs"]] \
             == [True, True]
-        assert doc["config"]["separator_mode"] == "linear"
+        assert doc["config"] == {"slice_adjust": False, "partial_rules": False}
         assert doc["output"].endswith("p1.nii")
 
     def test_failed_manifest_write_leaves_no_file(self, work, tmp_path,
@@ -328,31 +332,62 @@ class TestExitCodes:
 class TestConfigPrecedence:
     def test_env_then_file_then_flags(self, work, tmp_path, monkeypatch):
         env_cfg = tmp_path / "env.json"
-        env_cfg.write_text(json.dumps(
-            {"separator_mode": "posterior", "extent_strict": False}))
+        env_cfg.write_text(json.dumps({"slice_adjust": True, "partial_rules": "yes"}))
         cli_cfg = tmp_path / "cli.json"
-        cli_cfg.write_text(json.dumps({"separator_mode": "anterior"}))
+        cli_cfg.write_text(json.dumps({"slice_adjust": False}))
         monkeypatch.setenv("HOA_REFINE_CONFIG", str(env_cfg))
         out = tmp_path / "out.nii"
-        code = main(["refine", str(work / "fused" / "p0.nii"), str(out),
-                     "--landmarks", str(work / "lm" / "p0.json"),
-                     "--config", str(cli_cfg), "--slice-adjust"])
-        assert code == 0
-        cfg = json.loads((tmp_path / "out.nii.manifest.json")
-                         .read_text())["config"]
-        assert cfg["separator_mode"] == "anterior"  # file beats env
-        assert cfg["extent_strict"] is False        # env survives elsewhere
-        assert cfg["slice_adjust"] is True          # flag beats both
+        argv = ["refine", str(work / "fused" / "p0.nii"), str(out),
+                "--landmarks", str(work / "lm" / "p0.json"), "--config", str(cli_cfg)]
+        manifest = tmp_path / "out.nii.manifest.json"
+        assert main(argv) == 0
+        cfg = json.loads(manifest.read_text())["config"]
+        assert cfg["slice_adjust"] is False   # file beats env
+        assert cfg["partial_rules"] is True   # env survives elsewhere
+        assert main([*argv, "--slice-adjust"]) == 0
+        cfg = json.loads(manifest.read_text())["config"]
+        assert cfg["slice_adjust"] is True    # flag beats both
 
     def test_bad_config_file_is_invalid(self, work, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"separator_mode": "diagonal"}))
+        bad.write_text(json.dumps({"slice_adjust": "maybe"}))
         code = main(["refine", str(work / "fused" / "p0.nii"),
                      str(tmp_path / "out.nii"),
                      "--landmarks", str(work / "lm" / "p0.json"),
                      "--config", str(bad)])
         assert code == 2
-        assert "separator_mode" in capsys.readouterr().err
+        assert "slice_adjust" in capsys.readouterr().err
+
+    def test_deeply_nested_config_is_invalid(self, work, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"slice_adjust": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        capsys.readouterr()
+        assert main(["refine", str(work / "fused" / "p0.nii"), str(tmp_path / "out.nii"),
+                     "--landmarks", str(work / "lm" / "p0.json"), "--config", str(deep)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    # the protocol fixes these conventions; naming one is an error,
+    # even at the value the protocol uses
+    @pytest.mark.parametrize("source", ["config", "env"])
+    @pytest.mark.parametrize("key, value", [
+        ("separator_mode", "linear"), ("third_ventricle_target", 3),
+        ("midline_right_inclusive", True), ("extent_strict", True),
+        ("vdc_anterior_strict", True)])
+    def test_fixed_convention_key_is_invalid(self, work, tmp_path, monkeypatch, capsys,
+                                             source, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = ["refine", str(work / "fused" / "p0.nii"), str(tmp_path / "out.nii"),
+                "--landmarks", str(work / "lm" / "p0.json")]
+        if source == "env":
+            monkeypatch.setenv("HOA_REFINE_CONFIG", str(cfg))
+        else:
+            argv += ["--config", str(cfg)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and key in err[0]
+        assert not (tmp_path / "out.nii").exists()
 
 
 class TestStats:
@@ -610,3 +645,203 @@ def test_header_mutation_is_read_exactly_or_refused(header_case, data):
         else:
             assert code in (1, 2), (name, code)
             assert len(err.getvalue().splitlines()) == 1, (name, err.getvalue())
+
+
+# JSON values of every kind: the documents below are mutated with these
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+    st.sampled_from((0, 1, 2, -1, 0.0, -0.0, 1.0, 0.5, 10**400, "", "3", "true", "AC")))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+# the string spellings of booleans a config file may use
+_BOOL_WORDS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+               **dict.fromkeys(("0", "false", "no", "off"), False)}
+_SPELLED = st.builds(lambda word, case, pad: pad + case(word) + pad,
+                     st.sampled_from(sorted(_BOOL_WORDS)),
+                     st.sampled_from((str, str.upper, str.title)),
+                     st.sampled_from(("", " ", "\t")))
+_CONFIG_KEYS = ("slice_adjust", "partial_rules")
+
+
+def _run_cli(argv) -> tuple[int, list[str]]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+@pytest.fixture(scope="module")
+def refine_case(tmp_path_factory):
+    """A small fused volume, its landmarks as JSON and CSV, and the
+    refined bytes for each of the four configs, keyed by
+    (slice_adjust, partial_rules)."""
+    root = tmp_path_factory.mktemp("refinecase")
+    vol, lms = generate_phantom(1)
+    # AC 6 mm to the right tilts the midsagittal plane, so that
+    # slice_adjust moves voxels
+    lms = LandmarkSet({**lms.points, 10: lms[10] + (6.0, 0.0, 0.0)})
+    src = root / "in.nii"
+    write_volume(resample(fuse_labels(vol), (32, 32, 32)), src)
+    write_landmarks(lms, root / "lm.json")
+    write_landmarks(lms, root / "lm.csv")
+    want = {}
+    for sa in (False, True):
+        for pr in (False, True):
+            cfg = root / "cfg.json"
+            cfg.write_text(json.dumps({"slice_adjust": sa, "partial_rules": pr}))
+            out = root / "out.nii"
+            assert main(["refine", str(src), str(out), "--landmarks",
+                         str(root / "lm.json"), "--config", str(cfg)]) == 0
+            want[sa, pr] = out.read_bytes()
+    assert want[False, False] != want[True, False]  # slice_adjust shows in the bytes
+    return src, root / "lm.json", root / "lm.csv", want
+
+
+def _as_bool(value):
+    """The boolean a config value stands for, or None for a value that
+    stands for none."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        return _BOOL_WORDS.get(value.strip().lower())
+    return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_config_value_is_read_exactly_or_refused(refine_case, data):
+    """A config file holding any JSON values for the two settings: ``refine``
+    either exits 0 with the bytes and manifest of the equivalent boolean
+    config, or, for a value that spells no boolean, exits 2 with one
+    stderr line naming the key."""
+    src, lm_json, _, want = refine_case
+    doc = {}
+    for key in _CONFIG_KEYS:
+        if data.draw(st.booleans(), label=f"{key} given"):
+            doc[key] = data.draw(st.one_of(st.booleans(), _SPELLED, _JSON_VALUES), label=key)
+    meant = {key: _as_bool(doc.get(key, False)) for key in _CONFIG_KEYS}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out.nii"
+        cfg.write_text(json.dumps(doc))
+        code, err = _run_cli(["refine", str(src), str(out), "--landmarks", str(lm_json),
+                              "--config", str(cfg)])
+        bad = [key for key in _CONFIG_KEYS if meant[key] is None]
+        if bad:
+            assert code == 2, doc
+            assert len(err) == 1 and any(key in err[0] for key in bad), (doc, err)
+        else:
+            assert code == 0, (doc, err)
+            assert out.read_bytes() == want[meant["slice_adjust"], meant["partial_rules"]]
+            manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+            assert manifest["config"] == meant
+
+
+def _is_coordinate(value) -> bool:
+    """A finite JSON number: data a mutation would move, not malform."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int beyond float64
+        return False
+
+
+def _mutate_json(data, doc):
+    """Delete or replace one key (or list item) of a landmark document.
+
+    Returns the mutated path and whether the document may still be read:
+    only a deleted, empty or unchanged name, or an id of the same value
+    (10.0 for 10), leaves it well formed.  A replacement that is itself
+    a valid coordinate, xyz list or entry is not drawn: it would move
+    the landmarks, not malform them.
+    """
+    targets = [("space",), ("frame",), ("landmarks",)]
+    for i, entry in enumerate(doc["landmarks"]):
+        targets += [("landmarks", i), *(("landmarks", i, k) for k in entry)]
+        targets += [("landmarks", i, "xyz", c) for c in range(3)]
+    path = data.draw(st.sampled_from(targets), label="target")
+    *parents, last = path
+    holder = doc
+    for step in parents:
+        holder = holder[step]
+    if data.draw(st.booleans(), label="delete"):
+        del holder[last]
+        return path, last == "name"
+    if len(path) == 4:
+        values = _JSON_VALUES.filter(lambda v: not _is_coordinate(v))
+    elif last == "xyz":
+        values = _JSON_VALUES.filter(
+            lambda v: not (isinstance(v, list) and len(v) == 3 and all(map(_is_coordinate, v))))
+    elif len(path) == 2:
+        values = _JSON_VALUES.filter(lambda v: not (isinstance(v, dict) and "xyz" in v))
+    else:
+        values = _JSON_VALUES
+    old, new = holder[last], data.draw(values, label="value")
+    holder[last] = new
+    if last == "name":
+        return path, new in (None, "", old)
+    return path, last == "id" and type(new) in (int, float) and new == old
+
+
+def _is_number_text(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+def _mutate_csv(data, rows):
+    """Replace one cell, add or drop a field, or drop a row of a landmark CSV.
+
+    Returns what was mutated and whether the file may still be read:
+    only a changed header, id or name cell can leave it well formed.  A
+    replacement x, y or z that reads as a finite number is not drawn: it
+    would move a landmark, not malform the file.
+    """
+    r = data.draw(st.integers(0, len(rows) - 1), label="row")
+    op = data.draw(st.sampled_from(("cell", "extra-field", "drop-field", "drop-row")),
+                   label="op")
+    if op == "cell":
+        c = data.draw(st.integers(0, len(rows[r]) - 1), label="column")
+        text = st.text(max_size=8) | st.sampled_from(("", " 10", "10.0", "AC", "x", "name"))
+        if r > 0 and c >= 2:
+            text = text.filter(lambda t: not _is_number_text(t))
+        rows[r][c] = data.draw(text, label="value")
+        return (op, r, c), r == 0 or c < 2
+    if op == "extra-field":
+        rows[r].append(data.draw(st.text(max_size=8), label="value"))
+    elif op == "drop-field":
+        rows[r].pop()
+    else:
+        del rows[r]
+    return (op, r), False
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data(), fmt=st.sampled_from(("json", "csv")))
+def test_landmark_mutation_is_read_exactly_or_refused(refine_case, data, fmt):
+    """One mutated key, cell, field or row of a landmark file: ``refine``
+    either exits 0 with the bytes of the unmutated run, or exits 1 or 2
+    with one stderr line.  A traceback fails, and so does reading a file
+    that the mutation surely malformed."""
+    src, lm_json, lm_csv, want = refine_case
+    with tempfile.TemporaryDirectory() as tmp:
+        lm, out = Path(tmp) / f"lm.{fmt}", Path(tmp) / "out.nii"
+        if fmt == "json":
+            doc = json.loads(lm_json.read_text())
+            where, may_read = _mutate_json(data, doc)
+            lm.write_text(json.dumps(doc), encoding="utf-8")
+        else:
+            rows = list(csv.reader(io.StringIO(lm_csv.read_text(), newline="")))
+            where, may_read = _mutate_csv(data, rows)
+            with open(lm, "w", newline="", encoding="utf-8") as f:
+                csv.writer(f).writerows(rows)
+        code, err = _run_cli(["refine", str(src), str(out), "--landmarks", str(lm)])
+        if code == 0:
+            assert may_read, where
+            assert out.read_bytes() == want[False, False], where
+        else:
+            assert code in (1, 2), (where, code, err)
+            assert len(err) == 1, (where, err)

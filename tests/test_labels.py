@@ -210,12 +210,51 @@ def test_landmark_csv_round_trip(tmp_path, phantom0):
     "id,name,x,y,z\n10,AC,0,1\n",     # short row
     "id,name,x,y,z\nten,AC,0,1,2\n",  # id not an integer
     "id,name,x,y,z\n10,AC,0,one,2\n",  # coordinate not a number
+    "id,name,x,y,z\n10,AC,0,1,2,3\n",  # a field beyond the header
+    "id,name,x,y,z,w\n10,AC,0,1,2,3\n",  # a column beyond id,name,x,y,z
 ])
 def test_parse_landmarks_csv_errors(tmp_path, text):
     p = tmp_path / "a.csv"
     p.write_text(text)
     with pytest.raises(LabelError, match="line 2"):
         parse_landmarks(p)
+
+
+def test_parse_landmarks_csv_reader_error(tmp_path):
+    # the csv module's own refusal (here: a field beyond its size limit)
+    p = tmp_path / "a.csv"
+    p.write_text("id,name,x,y,z\n10,AC,0,1,\"" + "2" * 200_000 + "\"\n")
+    with pytest.raises(LabelError, match="field limit"):
+        parse_landmarks(p)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("xyz", '["0", "1", "2"]'),  # strings that float() would read
+    ("xyz", "[true, 1, 2]"),
+    ("xyz", "[0, null, 2]"),
+    ("xyz", "[0, [1], 2]"),
+    ("xyz", "[1" + "0" * 400 + ", 1, 2]"),  # an int beyond float64
+    ("name", "0"),
+    ("name", "false"),
+    ("name", "[]"),
+    ("name", "{}"),
+], ids=["strings", "true", "null", "nested", "int-beyond-float64",
+        "name-0", "name-false", "name-list", "name-object"])
+def test_parse_landmarks_json_refuses_non_numbers(tmp_path, field, value):
+    entry = {"id": '10', "name": '"AC"', "xyz": "[0.0, 1.0, 2.0]", field: value}
+    p = tmp_path / "a.json"
+    p.write_text('{"space": "world_mm", "frame": "RAS", "landmarks": [{'
+                 + ", ".join(f'"{k}": {v}' for k, v in entry.items()) + "}]}")
+    with pytest.raises(LabelError, match=field if field == "name" else "10"):
+        parse_landmarks(p)
+
+
+@pytest.mark.parametrize("name", ['"AC"', '""', "null"])
+def test_parse_landmarks_json_name_optional(tmp_path, name):
+    p = tmp_path / "a.json"
+    p.write_text('{"space": "world_mm", "frame": "RAS", "landmarks": '
+                 f'[{{"id": 10, "name": {name}, "xyz": [0, 1.5, 2]}}]}}')
+    assert parse_landmarks(p)[10].tolist() == [0.0, 1.5, 2.0]
 
 
 def test_parse_landmarks_json_errors(tmp_path):

@@ -1,5 +1,9 @@
 """Deterministic landmark-driven refinement rules."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -73,20 +77,11 @@ def test_coronal_slice_index_half_away():
 
 
 class TestSplitHemispheres:
-    def test_midline_inclusive_toggle(self):
-        vol = make_volume(np.ones((3, 1, 1), dtype=np.int16), origin=(-1, 0, 0))
-        plane = Plane(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-        hemi = split_hemispheres(vol, plane)
-        assert hemi[:, 0, 0].tolist() == [1, 2, 2]  # x == 0 counts as right
-        hemi = split_hemispheres(
-            vol, plane, RefinementConfig(midline_right_inclusive=False))
-        assert hemi[:, 0, 0].tolist() == [1, 1, 2]
-
     def test_midline_labels_stay_untagged(self):
         data = np.array([[[2]], [[1]], [[1]]], dtype=np.int16)
         vol = make_volume(data, origin=(-1, 0, 0))
         hemi = split_hemispheres(vol, Plane(np.zeros(3), np.array([1.0, 0, 0])))
-        assert hemi[0, 0, 0] == 0 and hemi[1, 0, 0] == 2
+        assert hemi[0, 0, 0] == 0 and hemi[1, 0, 0] == 2  # x == 0 counts as right
 
     def test_slice_adjust_deterministic_and_local(self):
         rng = np.random.default_rng(5)
@@ -122,16 +117,6 @@ class TestNaccPutamenSeparator:
             col = out[:, j, 0]
             assert np.all(col[:sep] == 7), f"slice {j}"
             assert np.all(col[sep:] == 11), f"slice {j}"
-
-    def test_constant_modes(self):
-        vol = self._volume()
-        hemi = np.full(vol.dims, 2, dtype=np.uint8)
-        out = separate_nacc_putamen(
-            vol, self._lms(), hemi, RefinementConfig(separator_mode="anterior"))
-        assert np.all((out == 7).sum(axis=(0, 2)) == 5)
-        out = separate_nacc_putamen(
-            vol, self._lms(), hemi, RefinementConfig(separator_mode="posterior"))
-        assert np.all((out == 7).sum(axis=(0, 2)) == 15)
 
     def test_contact_order_error(self):
         vol = self._volume()
@@ -183,22 +168,10 @@ class TestCoronalExtents:
         out = apply_coronal_extents(partial, self._vol(), self._lms())
         assert out[0, :, 0].tolist() == [10, 6, 6, 6, 6, 6]
 
-    def test_inclusive_when_strict_off(self):
-        cfg = RefinementConfig(extent_strict=False)
-        out = apply_coronal_extents(
-            np.full((1, 6, 1), 10, dtype=np.int16), self._vol(), self._lms(), cfg)
-        assert out[0, :, 0].tolist() == [10, 10, 10, 6, 6, 6]
-        out = apply_coronal_extents(
-            np.full((1, 6, 1), 6, dtype=np.int16), self._vol(), self._lms(), cfg)
-        assert out[0, :, 0].tolist() == [10, 10, 6, 6, 6, 6]
-
     def test_third_ventricle_exclusion(self):
         partial = np.zeros((1, 6, 1), dtype=np.int16)
         out = apply_coronal_extents(partial, self._vol(3), self._lms(j9=2.0))
-        assert out[0, :, 0].tolist() == [0, 0, 0, 3, 3, 3]
-        cfg = RefinementConfig(third_ventricle_target=14)
-        out = apply_coronal_extents(partial, self._vol(3), self._lms(j9=2.0), cfg)
-        assert out[0, :, 0].tolist() == [0, 0, 0, 14, 14, 14]
+        assert out[0, :, 0].tolist() == [0, 0, 0, 3, 3, 3]  # CSF, slice 2 kept
 
     def test_crossed_extent_landmarks_rejected(self):
         partial = np.zeros((1, 6, 1), dtype=np.int16)
@@ -225,12 +198,6 @@ class TestSplitVdc:
         vol, hemi, lms = self._setup(2, 12)
         out = split_vdc(np.zeros(vol.dims, dtype=np.int16), vol, lms, hemi)
         assert out[0, :, 0].tolist() == [26, 26, 26, 24, 24]
-
-    def test_left_split_inclusive(self):
-        vol, hemi, lms = self._setup(1, 11)
-        cfg = RefinementConfig(vdc_anterior_strict=False)
-        out = split_vdc(np.zeros(vol.dims, dtype=np.int16), vol, lms, hemi, cfg)
-        assert out[0, :, 0].tolist() == [25, 25, 23, 23, 23]
 
     def test_fallback_posterior(self):
         vol, hemi, _ = self._setup(2, 12)
@@ -335,21 +302,25 @@ class TestRefineFull:
 
 class TestConfig:
     def test_from_mapping_coercions(self):
-        cfg = RefinementConfig.from_mapping({
-            "separator-mode": "anterior",
-            "slice_adjust": "true",
-            "third_ventricle_target": "14",
-        })
-        assert cfg.separator_mode == "anterior"
-        assert cfg.slice_adjust is True
-        assert cfg.third_ventricle_target == 14
+        cfg = RefinementConfig.from_mapping({"slice-adjust": " Yes ", "partial_rules": "off"})
+        assert cfg == RefinementConfig(slice_adjust=True, partial_rules=False)
+        assert RefinementConfig.from_mapping({"partial_rules": True}).partial_rules is True
 
     def test_bad_values_rejected(self):
-        with pytest.raises(ValueError, match="unknown config key"):
-            RefinementConfig.from_mapping({"separator_modes": "linear"})
-        with pytest.raises(ValueError, match="boolean"):
+        # the five conventions the protocol fixes are not settings either
+        for key in ("slice_adjusts", "separator_mode", "third_ventricle_target",
+                    "midline_right_inclusive", "extent_strict", "vdc_anterior_strict"):
+            with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+                RefinementConfig.from_mapping({key: "true"})
+        with pytest.raises(ValueError, match="slice_adjust: expected a boolean"):
             RefinementConfig.from_mapping({"slice_adjust": "maybe"})
-        with pytest.raises(ValueError, match="separator_mode"):
-            RefinementConfig(separator_mode="diagonal")
-        with pytest.raises(ValueError, match="fine label"):
-            RefinementConfig(third_ventricle_target=27)
+        for value in (1, 0, 2, None, [], {}, 1.0, "y"):
+            with pytest.raises(ValueError, match="partial_rules: expected a boolean"):
+                RefinementConfig.from_mapping({"partial_rules": value})
+
+    def test_readme_table_lists_every_setting(self):
+        """The README's Configuration table names exactly the config fields."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        keys = re.findall(r"^\| `(\w+)`", section, flags=re.MULTILINE)
+        assert keys == [f.name for f in dataclasses.fields(RefinementConfig)]

@@ -17,7 +17,6 @@ import hoarefine.refine as refine_mod
 import refine_reference as ref
 from hoarefine import (
     DEGRADE_MODES,
-    FINE_LABELS,
     LANDMARKS,
     MIDSAGITTAL_IDS,
     LandmarkSet,
@@ -72,16 +71,8 @@ def _fused_input(seed, mode):
     return degrade_phantom(vol, lms, mode, amount, seed=seed)
 
 
-configs = st.builds(
-    RefinementConfig,
-    separator_mode=st.sampled_from(("linear", "anterior", "posterior")),
-    slice_adjust=st.booleans(),
-    third_ventricle_target=st.sampled_from(sorted(FINE_LABELS)),
-    midline_right_inclusive=st.booleans(),
-    extent_strict=st.booleans(),
-    vdc_anterior_strict=st.booleans(),
-    partial_rules=st.booleans(),
-)
+configs = st.builds(RefinementConfig, slice_adjust=st.booleans(),
+                    partial_rules=st.booleans())
 
 # landmark ids to drop: none, any rule landmarks, or a midsagittal one
 dropped_ids = st.one_of(
@@ -110,16 +101,14 @@ shapes = hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=12)
 @given(shape=shapes, seed=st.integers(0, 2**16), density=st.floats(0.05, 1.0),
        spacing=st.sampled_from((1.0, 0.7, (0.8, 1.3, 1.0))),
        tilt=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
-       offset=st.floats(0.0, 10.0),
-       right_inclusive=st.booleans())
-def test_slice_adjust_matches_reference(shape, seed, density, spacing, tilt, offset,
-                                        right_inclusive):
+       offset=st.floats(0.0, 10.0))
+def test_slice_adjust_matches_reference(shape, seed, density, spacing, tilt, offset):
     rng = np.random.default_rng(seed)
     # bilateral (1) where drawn, else background or a midline label (2)
     data = np.where(rng.random(shape) < density, 1, rng.choice((0, 2), size=shape))
     vol = make_volume(data.astype(np.int16), spacing=spacing)
     plane = Plane(np.array([offset, 0.0, 0.0]), np.array([1.0, *tilt]))
-    cfg = RefinementConfig(slice_adjust=True, midline_right_inclusive=right_inclusive)
+    cfg = RefinementConfig(slice_adjust=True)
     _assert_same(ref.split_hemispheres(vol, plane, cfg),
                  refine_mod.split_hemispheres(vol, plane, cfg))
 

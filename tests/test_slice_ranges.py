@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 import hoarefine.refine as refine_mod
 import refine_reference as ref
-from hoarefine import FINE_LABELS, LandmarkSet, RefinementConfig
+from hoarefine import LandmarkSet, RefinementConfig
 
 from conftest import make_volume
 from test_refine_differential import _assert_same, _outcome
@@ -42,9 +42,7 @@ def extents_cases(draw):
     data = rng.choice((0, 3, 5, 12) if draw(st.booleans()) else (0, 5), size=shape)
     partial = rng.choice((0, 6, 7, 10, 11, 25), size=shape).astype(np.int16)
     lms = _landmarks(draw, (1, 2, 7, 8, 9), shape[1])
-    cfg = RefinementConfig(extent_strict=draw(st.booleans()),
-                           partial_rules=draw(st.booleans()),
-                           third_ventricle_target=draw(st.sampled_from(sorted(FINE_LABELS))))
+    cfg = RefinementConfig(partial_rules=draw(st.booleans()))
     return partial, make_volume(data.astype(np.int16)), lms, cfg
 
 
@@ -57,8 +55,7 @@ def vdc_cases(draw):
     hemi = rng.integers(0, 3, size=shape).astype(np.uint8)
     partial = rng.integers(0, 27, size=shape).astype(np.int16)
     lms = _landmarks(draw, (11, 12), shape[1])
-    cfg = RefinementConfig(vdc_anterior_strict=draw(st.booleans()),
-                           partial_rules=draw(st.booleans()))
+    cfg = RefinementConfig(partial_rules=draw(st.booleans()))
     return partial, make_volume(data.astype(np.int16)), lms, hemi, cfg
 
 
