@@ -285,13 +285,17 @@ def parse_landmarks(path: str | Path) -> LandmarkSet:
          "landmarks": [{"id": 10, "name": "AC", "xyz": [x, y, z]}, ...]}
 
     Ids and coordinates must be JSON numbers.  CSV mirror: header
-    ``id,name,x,y,z`` and no other column, one row per landmark.  Names
-    are cross-checked against the protocol catalog when present.
+    ``id,name,x,y,z`` with no other or repeated column, one row per
+    landmark.  Names are cross-checked against the protocol catalog
+    when present.
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
         with open(path) as f:
-            doc = json.load(f)
+            try:
+                doc = json.load(f)
+            except RecursionError:  # nesting deeper than the parser's stack
+                raise LabelError(f"{path}: landmark JSON is nested too deeply") from None
         if (not isinstance(doc, dict) or doc.get("space") != "world_mm"
                 or doc.get("frame") != "RAS"):
             raise LabelError(
@@ -320,6 +324,10 @@ def parse_landmarks(path: str | Path) -> LandmarkSet:
         with open(path, newline="") as f:
             reader = csv.DictReader(f)
             try:
+                header = reader.fieldnames or []
+                repeated = [n for n in header if header.count(n) > 1]
+                if repeated:  # DictReader would keep only the last such column
+                    raise LabelError(f"{path}: header repeats column {repeated[0]!r}")
                 for row in reader:
                     if not row.keys() <= {"id", "name", "x", "y", "z"}:  # key None: extra fields
                         raise LabelError(f"{path}: line {reader.line_num} has a field "

@@ -164,19 +164,13 @@ class Volume:
         """Bounding box of each label value v >= 1 of an integer label map.
 
         ``label_boxes[v - 1]`` is a tuple of per-axis slices enclosing
-        every voxel of value v, or None when v is absent
-        (``scipy.ndimage.find_objects``).  Computed on first use and kept,
-        which is safe because ``data`` is a locked copy.
+        every voxel of value v, or None when v is absent; there is one
+        entry per value up to the largest.  Computed on first use and
+        kept, which is safe because ``data`` is a locked copy.
         """
-        import scipy.ndimage as ndi
-
         if not self.is_label:
             raise ValueError(f"bounding boxes need integer labels, got {self.data.dtype}")
-        if self.order == "C":
-            return tuple(ndi.find_objects(self.data))
-        # find_objects walks memory in C order: scan F data as its C-ordered
-        # transpose and reverse the axes of each box
-        return tuple(b and b[::-1] for b in ndi.find_objects(self.data.T))
+        return _label_boxes(self.data)
 
     def box(self, labels) -> tuple | None:
         """Union of the ``label_boxes`` of ``labels``, None when none is present."""
@@ -206,6 +200,51 @@ class Volume:
         tax = self.taxonomy if taxonomy == "keep" else taxonomy
         return Volume(data, self.affine, taxonomy=tax,
                       scl_slope=self.scl_slope, scl_inter=self.scl_inter)
+
+
+_BOX_BAND = 63  # labels per data pass: bits 1..63 of a uint64, bit 0 for the rest
+_BOX_PLANES = 4  # planes per slab: the bit words of a slab are its only temporary
+
+
+def _label_boxes(data: np.ndarray) -> tuple:
+    """Bounding boxes of the values 1..data.max(), None for an absent one.
+
+    Each voxel of value v sets bit v of an unsigned word (v minus the
+    band's offset, one pass per band of 63 values), and the words
+    OR-reduce onto each axis one slab of planes at a time.  A value's
+    extent along an axis runs from the first to the last index whose
+    word holds its bit.
+    """
+    top = int(data.max())
+    # walk axes from the slowest-varying in memory to the fastest
+    perm = sorted(range(3), key=lambda a: -abs(data.strides[a]))
+    view = data.transpose(perm)
+    direct = top <= _BOX_BAND and int(data.min()) >= 0  # each value is its own bit
+    need = top if direct else _BOX_BAND  # the highest bit number set
+    word = np.dtype(next(w for w in (np.uint8, np.uint16, np.uint32, np.uint64)
+                         if np.dtype(w).itemsize * 8 > need))
+    boxes = [None] * max(top, 0)
+    for offset in range(0, top, _BOX_BAND):
+        proj = [np.zeros(n, dtype=word) for n in view.shape]
+        for a in range(0, view.shape[0], _BOX_PLANES):
+            slab = view[a:a + _BOX_PLANES]
+            if not direct:
+                slab = slab.astype(np.int64) - offset
+                slab[(slab < 1) | (slab > _BOX_BAND)] = 0
+            bits = np.left_shift(word.type(1), slab, dtype=word, casting="unsafe")
+            rows = np.bitwise_or.reduce(bits, axis=2)
+            proj[0][a:a + _BOX_PLANES] = np.bitwise_or.reduce(rows, axis=1)
+            proj[1] |= np.bitwise_or.reduce(rows, axis=0)
+            proj[2] |= np.bitwise_or.reduce(bits, axis=(0, 1))
+        width = min(top - offset, _BOX_BAND)
+        # has[c][n, b]: index n of view axis c holds value offset + 1 + b
+        has = [(p[:, None] >> np.arange(1, width + 1, dtype=word)) & 1 != 0 for p in proj]
+        first = [h.argmax(axis=0) for h in has]
+        stop = [len(h) - h[::-1].argmax(axis=0) for h in has]
+        for b in np.flatnonzero(has[0].any(axis=0)):
+            boxes[offset + b] = tuple(slice(int(first[c][b]), int(stop[c][b]))
+                                      for c in (perm.index(axis) for axis in range(3)))
+    return tuple(boxes)
 
 
 def read_volume(path: str | Path) -> Volume:

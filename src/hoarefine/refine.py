@@ -46,10 +46,6 @@ class RuleGeometryError(Exception):
     """Landmark geometry that makes a refinement rule ill-defined."""
 
 
-# 2D 4-connectivity for in-slice component labeling
-_CROSS_2D = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-_FULL_2D = np.ones((3, 3), dtype=bool)
-
 _NO_BOX = (slice(0, 0),) * 3  # stands in for the box of absent labels
 
 _BOOL_SPELLINGS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
@@ -357,8 +353,6 @@ def split_lv_ih(
     component nearest the landmark's (x, z).  A slice with no adjacent
     component ends the chain; everything else stays lateral ventricle.
     """
-    import scipy.ndimage as ndi
-
     cfg = cfg or RefinementConfig()
     partial = partial.copy(order="K")
     for side, box, m, (lm_id,) in _rule_sides(partial, vol12, 1, hemi, lms, cfg, ((13,), (14,))):
@@ -372,13 +366,13 @@ def split_lv_ih(
                 if prev_ih is not None:
                     break  # a gap breaks 26-connectivity
                 continue
-            comps, n = ndi.label(sl, structure=_CROSS_2D)
+            comps, n = _components_4(sl)
             if prev_ih is None:
                 ids = np.arange(1, n + 1)
                 w = _centroids_world(vol12, comps, ids, box, j)
                 pick = ids[np.argmin(np.hypot(w[:, 0] - lm_x, w[:, 2] - lm_z))]
             else:
-                reach = ndi.binary_dilation(prev_ih, structure=_FULL_2D)
+                reach = _dilate_3x3(prev_ih)
                 ids = np.unique(comps[reach & (comps > 0)])
                 if ids.size == 0:
                     break
@@ -386,6 +380,58 @@ def split_lv_ih(
             prev_ih = comps == pick
             partial[box][:, j, :][prev_ih] = (17, 18)[side]
     return partial
+
+
+def _components_4(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """4-connected components of a 2D bool mask: (int32 label image, count).
+
+    Components are numbered from 1 in C raster order of their first
+    voxel, whatever the memory layout of ``mask``.  Runs along axis 1
+    are joined when they share a column in adjacent rows; the
+    lowest-numbered run of each component, its first in raster order,
+    is its root.
+    """
+    n0, n1 = mask.shape
+    w = n1 + 2  # a zero column on each side keeps runs within their row
+    padded = np.zeros((n0, w), dtype=np.int8)
+    padded[:, 1:-1] = mask
+    edge = np.diff(padded.ravel())  # +1 before a run's first voxel, -1 before one past its last
+    # each run as the flat index range [start, stop) of ``padded``, in raster order
+    start = np.flatnonzero(edge == 1) + 1
+    stop = np.flatnonzero(edge == -1) + 1
+    comps = np.zeros((n0, n1), dtype=np.int32)
+    if start.size == 0:
+        return comps, 0
+    # the runs that share a column with a run one row down, [start - w,
+    # stop - w) shifted up, form the index range [lo, hi)
+    lo = np.searchsorted(stop, start - w, side="right")
+    hi = np.searchsorted(start, stop - w, side="left")
+    count = np.maximum(hi - lo, 0)
+    below = np.repeat(np.arange(start.size), count)
+    # lo, lo + 1, ..., hi - 1 for each run of ``below``
+    above = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+    # hook the larger root of every joined pair onto the smaller, then
+    # compress paths, until each pair shares its root
+    root = np.arange(start.size)
+    while True:
+        ra, rb = root[above], root[below]
+        apart = ra != rb
+        if not apart.any():
+            break
+        np.minimum.at(root, np.maximum(ra, rb)[apart], np.minimum(ra, rb)[apart])
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    roots, run_label = np.unique(root, return_inverse=True)
+    comps[mask] = np.repeat(run_label + 1, stop - start)  # mask voxels in raster order
+    return comps, roots.size
+
+
+def _dilate_3x3(mask: np.ndarray) -> np.ndarray:
+    """Binary dilation of a 2D mask by a full 3x3 square, zero outside."""
+    padded = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
+    padded[1:-1, 1:-1] = mask
+    rows = padded[:, :-2] | padded[:, 1:-1] | padded[:, 2:]
+    return rows[:-2] | rows[1:-1] | rows[2:]
 
 
 def _centroids_world(vol12: Volume, comps, ids, box, j: int) -> np.ndarray:

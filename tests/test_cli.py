@@ -366,6 +366,20 @@ class TestConfigPrecedence:
                      "--landmarks", str(work / "lm" / "p0.json"), "--config", str(deep)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["refine", "evaluate"])
+    def test_deeply_nested_landmarks_are_invalid(self, work, tmp_path, capsys, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        vol = str(work / ("fused" if command == "refine" else "src") / "p0.nii")
+        out = str(tmp_path / "out.nii")
+        argv = {"refine": ["refine", vol, out, "--landmarks", str(deep)],
+                "evaluate": ["evaluate", vol, vol, "--landmarks", str(deep)]}[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err and "nested too deeply" in err
+
     # the protocol fixes these conventions; naming one is an error,
     # even at the value the protocol uses
     @pytest.mark.parametrize("source", ["config", "env"])

@@ -1,8 +1,9 @@
 """Cold start: what a fresh interpreter loads for each step of the pipeline.
 
-The import loads numpy only.  ``fuse`` needs no scipy at all, ``refine``
-loads scipy.ndimage on the first call that uses it, and only PASD in
-``evaluate`` loads scipy.spatial (which brings scipy.sparse).
+The import loads numpy only.  ``fuse`` and ``refine`` need no scipy at
+all: refinement's label boxes and inferior-horn components are numpy
+code.  ``evaluate`` loads scipy.ndimage for the PASD surface shell and
+scipy.spatial for its KD-tree (which brings scipy.sparse).
 scipy.stats is most of a cold ``import scipy`` and nothing on the
 fuse/refine/evaluate path needs it.  Each check runs in a new
 interpreter, because this test process has long since imported them all.
@@ -47,17 +48,14 @@ def test_import_loads_neither(tmp_path):
     assert loaded == _only()
 
 
-def test_refine_loads_ndimage_only(tmp_path):
+def test_refine_loads_neither(tmp_path):
     loaded = _loaded_after(
-        "import sys\n"
         "from hoarefine import fuse_labels, generate_phantom, refine_full\n"
         "vol, lms = generate_phantom(0)\n"
         "assert vol.dims == (96, 96, 96)\n"
-        "fused = fuse_labels(vol)\n"
-        "assert 'scipy' not in sys.modules\n"
-        "assert (refine_full(fused, lms).data == vol.data).all()\n",
+        "assert (refine_full(fuse_labels(vol), lms).data == vol.data).all()\n",
         tmp_path)
-    assert loaded == _only("scipy", "scipy.ndimage")
+    assert loaded == _only()
 
 
 def test_cli_fuse_loads_neither(tmp_path):
@@ -70,6 +68,21 @@ def test_cli_fuse_loads_neither(tmp_path):
         tmp_path)
     assert loaded == _only()
     assert (tmp_path / "fused.nii.gz.manifest.json").exists()
+
+
+def test_cli_refine_loads_neither(tmp_path):
+    from hoarefine import fuse_labels, generate_phantom, write_landmarks, write_volume
+
+    vol, lms = generate_phantom(0)
+    write_volume(fuse_labels(vol), tmp_path / "fused.nii.gz")
+    write_landmarks(lms, tmp_path / "lm.json")
+    loaded = _loaded_after(
+        "from hoarefine.cli import main\n"
+        "assert main(['refine', 'fused.nii.gz', 'fine.nii.gz',\n"
+        "             '--landmarks', 'lm.json']) == 0\n",
+        tmp_path)
+    assert loaded == _only()
+    assert (tmp_path / "fine.nii.gz.manifest.json").exists()
 
 
 def test_cli_evaluate_loads_spatial(tmp_path):

@@ -220,6 +220,19 @@ def test_parse_landmarks_csv_errors(tmp_path, text):
         parse_landmarks(p)
 
 
+@pytest.mark.parametrize("text", [
+    "id,x,x,y,z\n10,0,1,2,3\n",
+    "id,name,x,y,z,name\n10,AC,0,1,2,AC\n",
+    "x,id,x,y,z\n5,10,0,1,2\n",
+])
+def test_parse_landmarks_csv_repeated_column(tmp_path, text):
+    # csv.DictReader keeps only the last of two same-named columns
+    p = tmp_path / "a.csv"
+    p.write_text(text)
+    with pytest.raises(LabelError, match="repeats column"):
+        parse_landmarks(p)
+
+
 def test_parse_landmarks_csv_reader_error(tmp_path):
     # the csv module's own refusal (here: a field beyond its size limit)
     p = tmp_path / "a.csv"

@@ -1,0 +1,105 @@
+"""The numpy kernels of the refine path against the scipy.ndimage calls
+they replace: ``find_objects`` behind ``Volume.label_boxes``, and
+``label`` with a 4-connected cross and ``binary_dilation`` with a full
+3x3 square behind the inferior-horn chase.
+
+Each input is drawn in C order, in F order and as the strided
+``[:, j, :]`` (or ``[:, j]``) view of a larger F-ordered array, the
+layouts that refinement hands these kernels.
+"""
+
+import numpy as np
+import scipy.ndimage as ndi
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from hoarefine.nifti import _label_boxes
+from hoarefine.refine import _components_4, _dilate_3x3
+
+from conftest import make_volume
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
+
+CROSS = ndi.generate_binary_structure(2, 1)
+SQUARE = np.ones((3, 3), dtype=bool)
+LAYOUTS = ("C", "F", "view")
+
+
+def _held_as(a: np.ndarray, layout: str) -> np.ndarray:
+    """``a`` in C order, F order, or as a strided view along a new axis 1
+    of an F-ordered array whose other planes hold different values."""
+    if layout == "C":
+        return np.ascontiguousarray(a)
+    if layout == "F":
+        return np.asfortranarray(a)
+    host = np.zeros((a.shape[0], 3, *a.shape[1:]), dtype=a.dtype, order="F")
+    host[:, 0] = host[:, 2] = np.logical_not(a) if a.dtype == bool else a.max(initial=0) + 1
+    host[:, 1] = a
+    return host[:, 1]
+
+
+masks = hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24))
+
+
+@PROPERTY
+@given(mask=masks, layout=st.sampled_from(LAYOUTS))
+@example(mask=np.zeros((5, 7), dtype=bool), layout="view")
+@example(mask=np.ones((5, 7), dtype=bool), layout="view")
+@example(mask=np.ones((1, 9), dtype=bool), layout="C")
+@example(mask=np.ones((9, 1), dtype=bool), layout="F")
+@example(mask=np.eye(6, dtype=bool) | np.eye(6, dtype=bool)[::-1], layout="view")
+@example(mask=np.indices((7, 8)).sum(axis=0) % 2 == 0, layout="view")
+def test_components_4_matches_ndi_label(mask, layout):
+    held = _held_as(mask, layout)
+    want, n = ndi.label(mask, structure=CROSS)
+    got, m = _components_4(held)
+    assert m == n
+    assert got.shape == mask.shape
+    assert np.array_equal(got, want)
+
+
+@PROPERTY
+@given(shape=hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
+       seed=st.integers(0, 2**16), density=st.floats(0.3, 0.9),
+       layout=st.sampled_from(LAYOUTS))
+def test_components_4_matches_ndi_label_on_large_masks(shape, seed, density, layout):
+    # dense random masks join many runs through long, winding paths
+    mask = np.random.default_rng(seed).random(shape) < density
+    want, n = ndi.label(mask, structure=CROSS)
+    got, m = _components_4(_held_as(mask, layout))
+    assert m == n
+    assert np.array_equal(got, want)
+
+
+@PROPERTY
+@given(mask=masks, layout=st.sampled_from(LAYOUTS))
+@example(mask=np.zeros((5, 7), dtype=bool), layout="C")
+@example(mask=np.ones((5, 7), dtype=bool), layout="view")
+@example(mask=np.ones((1, 9), dtype=bool), layout="F")
+@example(mask=np.ones((9, 1), dtype=bool), layout="view")
+@example(mask=np.ones((1, 1), dtype=bool), layout="C")
+def test_dilate_3x3_matches_ndi_binary_dilation(mask, layout):
+    got = _dilate_3x3(_held_as(mask, layout))
+    assert got.dtype == bool
+    assert np.array_equal(got, ndi.binary_dilation(mask, structure=SQUARE))
+
+
+label_maps = hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=9).flatmap(
+    lambda s: st.sampled_from((np.int16, np.int32, np.uint8)).flatmap(
+        lambda dt: hnp.arrays(dt, s, elements=st.integers(
+            0 if np.dtype(dt).kind == "u" else -3, min(200, np.iinfo(dt).max)))))
+
+
+@PROPERTY
+@given(data=label_maps, layout=st.sampled_from(LAYOUTS + ("permuted",)))
+@example(data=np.zeros((3, 4, 5), dtype=np.int16), layout="view")
+@example(data=np.full((3, 4, 5), -3, dtype=np.int16), layout="F")
+@example(data=np.full((1, 1, 7), 200, dtype=np.int16), layout="C")
+@example(data=np.arange(1, 201, dtype=np.int16).reshape(5, 8, 5), layout="view")
+@example(data=np.arange(-3, 201, dtype=np.int32).reshape(1, 204, 1), layout="F")
+def test_label_boxes_match_find_objects(data, layout):
+    held = data.transpose(1, 2, 0) if layout == "permuted" else _held_as(data, layout)
+    want = tuple(ndi.find_objects(held))
+    assert _label_boxes(held) == want
+    assert make_volume(held).label_boxes == want

@@ -9,6 +9,7 @@ import functools
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -29,7 +30,7 @@ from hoarefine import (
     refine_full,
 )
 
-from conftest import make_volume
+from conftest import make_volume, resample
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -90,6 +91,21 @@ def test_refine_full_matches_reference(seed, mode, las, cfg, dropped):
     if las:
         vol12 = _to_las(vol12)
     lms = LandmarkSet({i: lms[i] for i in lms.ids if i not in dropped})
+    _assert_same(_outcome(ref.refine_full, vol12, lms, cfg),
+                 _outcome(refine_full, vol12, lms, cfg))
+
+
+@pytest.mark.parametrize("slice_adjust", [False, True])
+@pytest.mark.parametrize("las", [False, True], ids=["RAS", "LAS"])
+def test_upsampled_phantom_matches_reference(las, slice_adjust):
+    # 1.5x the phantom's grid, stored in NIfTI's F order: structures are
+    # several voxels thick and the horn chase runs over more slices
+    vol12, lms = _fused_input(0, "boundary-noise")
+    big = resample(vol12, (144, 172, 144))
+    vol12 = Volume(np.asfortranarray(big.data), big.affine, taxonomy=big.taxonomy)
+    if las:
+        vol12 = _to_las(vol12)
+    cfg = RefinementConfig(slice_adjust=slice_adjust)
     _assert_same(_outcome(ref.refine_full, vol12, lms, cfg),
                  _outcome(refine_full, vol12, lms, cfg))
 
