@@ -276,6 +276,11 @@ class LandmarkSet:
             raise LabelError(f"missing required landmarks: {names}")
 
 
+# the keys of a JSON landmark file and of each of its entries
+_JSON_KEYS = frozenset({"space", "frame", "landmarks"})
+_ENTRY_KEYS = frozenset({"id", "name", "xyz"})
+
+
 def parse_landmarks(path: str | Path) -> LandmarkSet:
     """Load landmarks from JSON or CSV, deciding by suffix.
 
@@ -284,7 +289,8 @@ def parse_landmarks(path: str | Path) -> LandmarkSet:
         {"space": "world_mm", "frame": "RAS",
          "landmarks": [{"id": 10, "name": "AC", "xyz": [x, y, z]}, ...]}
 
-    Ids and coordinates must be JSON numbers.  CSV mirror: header
+    Ids and coordinates must be JSON numbers; any other key, at the top
+    or in an entry, is an error.  CSV mirror: header
     ``id,name,x,y,z`` with no other or repeated column, one row per
     landmark.  Names are cross-checked against the protocol catalog
     when present.
@@ -300,6 +306,11 @@ def parse_landmarks(path: str | Path) -> LandmarkSet:
                 or doc.get("frame") != "RAS"):
             raise LabelError(
                 f"{path}: landmark file must declare space=world_mm frame=RAS")
+        # a key this reader does not know (units, xyz_mm, ...) may change
+        # what the file means, so it is refused rather than ignored
+        extra = sorted(doc.keys() - _JSON_KEYS)
+        if extra:
+            raise LabelError(f"{path}: unknown landmark file key {extra[0]!r}")
         entries = doc.get("landmarks")
         if not isinstance(entries, list):
             raise LabelError(f"{path}: missing landmarks list")
@@ -307,6 +318,10 @@ def parse_landmarks(path: str | Path) -> LandmarkSet:
         for e in entries:
             if not isinstance(e, dict) or not {"id", "xyz"} <= e.keys():
                 raise LabelError(f"{path}: landmark entry {e!r} needs 'id' and 'xyz'")
+            extra = sorted(e.keys() - _ENTRY_KEYS)
+            if extra:
+                raise LabelError(f"{path}: landmark entry {e['id']!r} has unknown "
+                                 f"key {extra[0]!r}")
             lid = e["id"]  # 3.0 is an integer; 3.7, "3" and true are not
             if type(lid) is not int and not (type(lid) is float and lid.is_integer()):
                 raise LabelError(f"{path}: landmark id {lid!r} is not an integer")

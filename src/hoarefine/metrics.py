@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .labels import FINE_HEMISPHERE, FINE_NAME, LandmarkSet
-from .nifti import Volume, reorient_to_canonical
+from .nifti import Volume, _erode_6, reorient_to_canonical
 from .refine import coronal_slice_index
 
 logger = logging.getLogger("hoarefine.metrics")
@@ -260,6 +260,161 @@ def _shell_is_exact(affine: np.ndarray) -> bool:
     return bool(np.all(np.abs(cosines) < 0.25))
 
 
+# relative slack on squared lattice distances: far above the rounding of
+# a float distance, so a voxel beyond it never holds the float minimum
+_SLACK = 1e-9
+_CELL = 8  # edge of a search cell, voxels
+_BLOCK = 1 << 18  # (query, offset) or (query, cell) pairs per vectorised step
+
+
+def _lattice_offsets(gram: np.ndarray, radius2: float):
+    """Every integer step v with v'Gv <= radius2, sorted by v'Gv, and v'Gv."""
+    # |v_c| <= sqrt(radius2 (G^-1)_cc) on that ellipsoid; one more for rounding
+    reach = np.sqrt(radius2 * np.diag(np.linalg.inv(gram))).astype(np.int64) + 1
+    steps = np.stack(np.meshgrid(*[np.arange(-r, r + 1) for r in reach],
+                                 indexing="ij"), axis=-1).reshape(-1, 3)
+    q = np.einsum("ni,ij,nj->n", steps, gram, steps)
+    keep = np.flatnonzero(q <= radius2)
+    order = keep[np.argsort(q[keep], kind="stable")]
+    return steps[order], q[order]
+
+
+def _group_min(who: np.ndarray, queries: np.ndarray, pts: np.ndarray):
+    """Distinct values of the sorted ``who`` and, for each, the smallest
+    squared distance from ``queries[who]`` to the matching ``pts`` rows.
+
+    The sum is cKDTree's, dx*dx + dy*dy + dz*dz in axis order, so its
+    square root equals a KD-tree query's distance bit for bit.
+    """
+    if who.size == 0:
+        return who, np.empty(0)
+    d = queries[who] - pts
+    dist2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+    starts = np.flatnonzero(np.r_[True, who[1:] != who[:-1]])
+    return who[starts], np.minimum.reduceat(dist2, starts)
+
+
+def _nearest_distances(vox: np.ndarray, queries: np.ndarray, mask: np.ndarray,
+                       origin: np.ndarray, can: Volume) -> np.ndarray:
+    """Distance (mm) from each world point ``queries[n]``, the centre of
+    voxel ``vox[n]`` of ``can``'s grid, to the nearest voxel of ``mask``,
+    a box of that grid starting at voxel ``origin``.
+
+    Both sets lie on one lattice, so the search runs in index space on
+    the squared grid metric v'Gv (G = A'A, A the affine's linear part).
+    An offset pass tries the integer steps within twice the widest voxel
+    step, nearest first, and measures in world mm only the steps within
+    ``_SLACK`` of a query's first hit; a query inside the mask stops at
+    the zero step.  The queries it leaves go to a cell pass over 8^3
+    cells of the mask's shell (``_shell_is_exact``), or of the whole mask
+    on grids whose axes are too oblique: a query measures the voxels of
+    the cell with the lowest lower bound on v'Gv, then of every cell
+    whose bound does not exceed the nearest distance found there.
+    """
+    lin = can.affine[:3, :3]
+    gram = lin.T @ lin
+    local = vox - origin
+    shape = np.array(mask.shape)
+    out = np.full(len(vox), np.inf)  # squared distances until the end
+    # a query's distance |s| from its voxel centre on this grid: 0 on
+    # one grid, and within _check_aligned's tolerance; each search
+    # window widens by it
+    off = queries - can.voxel_to_world(vox.astype(np.float64))
+    shift = np.sqrt(off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1] + off[:, 2] * off[:, 2])
+    if (np.count_nonzero(lin, axis=1) <= 1).all():
+        # one term per world axis: a voxel's world mm round the same
+        # whatever else the call converts
+        def world_of(at):  # world mm of box-local voxel indices
+            return can.voxel_to_world((at + origin).astype(np.float64))
+    else:
+        # on oblique grids a row's rounding may depend on the call it is
+        # in, so convert every mask voxel at once, as a KD-tree over the
+        # label gets them, and look the voxels up
+        idx = np.nonzero(mask)
+        flat = np.ravel_multi_index(idx, mask.shape)
+        world = can.voxel_to_world((np.stack(idx, axis=1) + origin).astype(np.float64))
+
+        def world_of(at):
+            return world[np.searchsorted(flat, np.ravel_multi_index(tuple(at.T), mask.shape))]
+
+    radius2 = 4.0 * float(gram.diagonal().max())
+    steps, q = _lattice_offsets(gram, radius2)
+    reach = np.abs(steps).max(axis=0)
+    padded = np.zeros(shape + 4 * reach, dtype=bool)
+    padded[tuple(slice(2 * r, 2 * r + n) for r, n in zip(reach, shape))] = mask
+    strides = np.array(padded.strides, dtype=np.int64)  # bool: 1 byte per voxel
+    near = np.flatnonzero(np.all((local >= -reach) & (local < shape + reach), axis=1))
+    base = (local[near] + 2 * reach) @ strides
+    step_at = steps @ strides
+    lattice = padded.ravel()
+    chunk = max(1, _BLOCK // len(steps))
+    for a in range(0, near.size, chunk):
+        rows = near[a:a + chunk]
+        hits = lattice[base[a:a + chunk, None] + step_at]
+        first = hits.argmax(axis=1)
+        top = (np.sqrt(q[first]) + 2.0 * shift[rows]) ** 2 * (1.0 + _SLACK)
+        # resolved: a hit, and every step as near as it within the pass
+        done = hits[np.arange(rows.size), first] & (top <= radius2)
+        r, o = np.nonzero(hits[done] & (q <= top[done, None]))
+        rows = rows[done]
+        found, dist2 = _group_min(rows[r], queries, world_of(local[rows[r]] + steps[o]))
+        out[found] = dist2
+
+    rest = np.flatnonzero(out == np.inf)
+    if rest.size:
+        tree = mask & ~_erode_6(mask) if _shell_is_exact(can.affine) else mask
+        _cell_pass(rest, local, queries, shift, tree, gram, world_of, out)
+    return np.sqrt(out)
+
+
+def _cell_pass(rest, local, queries, shift, tree, gram, world_of, out) -> None:
+    """Squared distances of the queries ``rest`` to the voxels of ``tree``
+    into ``out``, by 8^3 cells pruned with lower bounds on v'Gv."""
+    pts = np.argwhere(tree)
+    key = np.ravel_multi_index(tuple((pts // _CELL).T),
+                               tuple(-(-np.array(tree.shape) // _CELL)))
+    order = np.argsort(key, kind="stable")
+    pts, key = pts[order], key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    counts = np.diff(np.r_[starts, key.size])
+    lo = np.minimum.reduceat(pts, starts, axis=0)
+    hi = np.maximum.reduceat(pts, starts, axis=0)
+    world = world_of(pts)
+    # two lower bounds on v'Gv for |v_c| >= gap_c: sum w_c gap_c^2, valid
+    # when every w_c >= 0 (diagonal dominance), and lam |gap|^2, lam the
+    # smallest eigenvalue of G
+    w = 2.0 * gram.diagonal() - np.abs(gram).sum(axis=1)
+    w = w if (w >= 0).all() else np.zeros(3)
+    lam = float(np.linalg.eigvalsh(gram)[0])
+
+    def measure(rows, cells):
+        n = counts[cells]
+        at = np.arange(n.sum()) + np.repeat(starts[cells] - np.cumsum(n) + n, n)
+        return _group_min(np.repeat(rows, n), queries, world[at])
+
+    # bounds (queries x cells) and measured pairs (queries x a few full
+    # cells) both stay near _BLOCK per step
+    chunk = max(1, _BLOCK // max(starts.size, 8 * int(counts.max())))
+    for a in range(0, rest.size, chunk):
+        rows = rest[a:a + chunk]
+        p = local[rows]
+        lb = norm2 = 0.0
+        for c in range(3):
+            gap = np.maximum(np.maximum(lo[:, c] - p[:, c, None], p[:, c, None] - hi[:, c]), 0)
+            gap2 = np.square(gap, dtype=np.float64)
+            lb = lb + w[c] * gap2
+            norm2 = norm2 + gap2
+        lb = np.maximum(lb, lam * norm2)
+        best = lb.argmin(axis=1)
+        _, ub = measure(rows, best)
+        out[rows] = ub
+        lb[np.arange(rows.size), best] = np.inf
+        reach = (np.sqrt(ub) + shift[rows]) ** 2 * (1.0 + _SLACK)
+        r, cells = np.nonzero(lb <= reach[:, None])
+        found, dist2 = measure(rows[r], cells)
+        out[found] = np.minimum(out[found], dist2)
+
+
 def pasd(gt: Volume, pred: Volume, spec: BoundarySpec, lms: LandmarkSet,
          side: str, side_filter: bool = True) -> float:
     """One-way mean distance (mm) from the GT protocol surface to the
@@ -270,14 +425,12 @@ def pasd(gt: Volume, pred: Volume, spec: BoundarySpec, lms: LandmarkSet,
     predicted voxel of the label.  Lateral surfaces always use the
     whole label.  Undefined (raises) when either set is empty.
 
-    Only the predicted label's bounding box is read.  The KD-tree holds
-    the label's shell voxels (see ``_shell_is_exact``) plus those that
-    coincide with a surface voxel, which give the same nearest
-    distances as the whole label.
+    Only the predicted label's bounding box is read.  Surface and
+    predicted voxels share one lattice, so the nearest predicted voxel
+    is found exactly in index space (``_nearest_distances``) and only
+    it and its near ties are measured in world mm, with cKDTree's
+    formula: the values equal a KD-tree query over every predicted voxel.
     """
-    import scipy.ndimage as ndi
-    from scipy.spatial import cKDTree
-
     _check_aligned(pred, gt)
     bside = spec.side(side)
     gt_can, _ = reorient_to_canonical(gt)
@@ -296,18 +449,8 @@ def pasd(gt: Volume, pred: Volume, spec: BoundarySpec, lms: LandmarkSet,
         raise MetricUndefinedError(
             f"{spec.region} ({spec.surface}, {side}): no predicted voxels of "
             f"label {bside.label} on the evaluation side")
-    idx = np.nonzero(mask)
     origin = np.array([s.start for s in box])
-    pred_pts = can.voxel_to_world(
-        (np.stack(idx, axis=1) + origin).astype(np.float64))
-    in_tree = mask & ~ndi.binary_erosion(mask) if _shell_is_exact(can.affine) \
-        else mask.copy()
-    # a surface voxel inside the predicted mask is its own nearest voxel
-    local = vox - origin
-    local = local[np.all((local >= 0) & (local < mask.shape), axis=1)]
-    in_tree[tuple(local[mask[tuple(local.T)]].T)] = True
-    dists, _ = cKDTree(pred_pts[in_tree[idx]]).query(surface, k=1)
-    return float(np.mean(dists))
+    return float(np.mean(_nearest_distances(vox, surface, mask, origin, can)))
 
 
 def _check_aligned(a: Volume, b: Volume) -> None:

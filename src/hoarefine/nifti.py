@@ -247,6 +247,24 @@ def _label_boxes(data: np.ndarray) -> tuple:
     return tuple(boxes)
 
 
+def _erode_6(mask: np.ndarray, steps: int = 1) -> np.ndarray:
+    """``mask`` eroded ``steps`` times by the 6-neighbour cross, with
+    everything beyond the array counted as outside (scipy's
+    ``binary_erosion`` with its default structure and border 0)."""
+    out = np.array(mask, dtype=bool, order="K")
+    for _ in range(steps):
+        prev = out.copy(order="K")
+        for ax in range(out.ndim):
+            lo = [slice(None)] * out.ndim
+            hi = [slice(None)] * out.ndim
+            lo[ax], hi[ax] = slice(None, -1), slice(1, None)
+            out[tuple(lo)] &= prev[tuple(hi)]
+            out[tuple(hi)] &= prev[tuple(lo)]
+            lo[ax], hi[ax] = 0, -1
+            out[tuple(lo)] = out[tuple(hi)] = False
+    return out
+
+
 def read_volume(path: str | Path) -> Volume:
     """Read a ``.nii`` or ``.nii.gz`` file into a :class:`Volume`.
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .labels import LandmarkSet, fuse_labels, validate_landmarks
-from .nifti import Volume, round_half_away
+from .nifti import Volume, _erode_6, round_half_away
 
 N = 96  # grid edge; the box layout below is tuned to it
 
@@ -325,8 +325,6 @@ def degrade_phantom(
                     data[tuple(ijk)] = vals[rng.integers(vals.size)]
         return v12.with_data(data), lms
 
-    import scipy.ndimage as ndi
-
     steps = int(amount)
     if steps < 1:
         raise PhantomError("erosion amount must be a positive step count")
@@ -334,6 +332,5 @@ def degrade_phantom(
         if lab == 0:
             continue
         m = data == lab
-        kept = ndi.binary_erosion(m, iterations=steps)
-        data[m & ~kept] = 0
+        data[m & ~_erode_6(m, steps)] = 0
     return v12.with_data(data), lms

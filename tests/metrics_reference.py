@@ -3,8 +3,10 @@
 Dice builds two full-volume masks per label, PASD builds a KD-tree over
 every predicted voxel of the label, and separation lines scan each row
 of each slice in Python.  The package implementation reads each volume
-once per metric family (one confusion matrix, label bounding boxes, a
-shell-voxel KD-tree); ``test_metrics_differential.py`` requires both to
+once per metric family (one confusion matrix, label bounding boxes)
+and finds PASD's nearest voxels on the voxel lattice with numpy, not
+with a KD-tree; this one keeps scipy's cKDTree so that it stays an
+independent oracle.  ``test_metrics_differential.py`` requires both to
 produce equal report rows.  Boundary definitions, the report types and
 the error types are imported from the package.
 """

@@ -280,6 +280,8 @@ class TestExitCodes:
         ("evaluate", "landmark-without-xyz", 2),
         ("refine", "landmark-without-id", 2),
         ("evaluate", "landmark-without-id", 2),
+        ("refine", "landmark-file-key-units", 2),
+        ("evaluate", "landmark-entry-key-xyz_mm", 2),
     ])
     def test_malformed_input_is_one_line(self, work, tmp_path, capsys,
                                          command, defect, code):
@@ -316,7 +318,13 @@ class TestExitCodes:
             write_landmarks(LandmarkSet({i: rot @ lms[i] for i in lms.ids}), lm)
         else:
             doc = json.loads(lm.read_text())
-            del doc["landmarks"][0][defect.rsplit("-", 1)[1]]
+            key = defect.rsplit("-", 1)[1]
+            if defect.startswith("landmark-file-key"):
+                doc[key] = "cm"  # would rescale every point if it were read
+            elif defect.startswith("landmark-entry-key"):
+                doc["landmarks"][0][key] = doc["landmarks"][0]["xyz"]
+            else:
+                del doc["landmarks"][0][key]
             lm = tmp_path / "broken.json"
             lm.write_text(json.dumps(doc))
         out = str(tmp_path / "out.nii")

@@ -1,12 +1,11 @@
 """Cold start: what a fresh interpreter loads for each step of the pipeline.
 
-The import loads numpy only.  ``fuse`` and ``refine`` need no scipy at
-all: refinement's label boxes and inferior-horn components are numpy
-code.  ``evaluate`` loads scipy.ndimage for the PASD surface shell and
-scipy.spatial for its KD-tree (which brings scipy.sparse).
-scipy.stats is most of a cold ``import scipy`` and nothing on the
-fuse/refine/evaluate path needs it.  Each check runs in a new
-interpreter, because this test process has long since imported them all.
+The import loads numpy only, and so does every step of the pipeline:
+refinement's label boxes and inferior-horn components, PASD's
+nearest-voxel search and the phantom's erosion are numpy code.  Only
+``stats`` loads scipy.stats, for a column with more than 20 nonzero
+pairs.  Each check runs in a new interpreter, because this test process
+has long since imported them all.
 """
 
 import json
@@ -85,7 +84,7 @@ def test_cli_refine_loads_neither(tmp_path):
     assert (tmp_path / "fine.nii.gz.manifest.json").exists()
 
 
-def test_cli_evaluate_loads_spatial(tmp_path):
+def test_cli_evaluate_loads_neither(tmp_path):
     from hoarefine import generate_phantom, write_landmarks, write_volume
 
     vol, lms = generate_phantom(0)
@@ -96,8 +95,33 @@ def test_cli_evaluate_loads_spatial(tmp_path):
         "assert main(['evaluate', 'fine.nii.gz', 'fine.nii.gz',\n"
         "             '--landmarks', 'lm.json', '--out', 'r.json']) == 0\n",
         tmp_path)
-    assert loaded == _only("scipy", "scipy.ndimage", "scipy.spatial", "scipy.sparse")
+    assert loaded == _only()
     assert (tmp_path / "r.json.manifest.json").exists()
+
+
+def test_cli_roundtrip_loads_neither(tmp_path):
+    from hoarefine import generate_phantom, write_landmarks, write_volume
+
+    vol, lms = generate_phantom(0)
+    write_volume(vol, tmp_path / "fine.nii.gz")
+    write_landmarks(lms, tmp_path / "lm.json")
+    loaded = _loaded_after(
+        "from hoarefine.cli import main\n"
+        "assert main(['roundtrip', 'fine.nii.gz', '--landmarks', 'lm.json',\n"
+        "             '--out', 'r.json']) == 0\n",
+        tmp_path)
+    assert loaded == _only()
+    assert (tmp_path / "r.json.manifest.json").exists()
+
+
+def test_cli_phantom_erosion_loads_neither(tmp_path):
+    loaded = _loaded_after(
+        "from hoarefine.cli import main\n"
+        "assert main(['phantom', 'eroded.nii.gz', '--degrade', 'erosion',\n"
+        "             '--amount', '1']) == 0\n",
+        tmp_path)
+    assert loaded == _only()
+    assert (tmp_path / "eroded.landmarks.json").exists()
 
 
 @pytest.mark.parametrize("ties", [False, True])

@@ -1,8 +1,11 @@
 """Label taxonomies, fusion, and landmark parsing/validation."""
 
+import json
+import re
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -333,3 +336,19 @@ def test_validate_landmarks_flags(phantom0):
     pts[16] = np.array([500.0, 500.0, 500.0])
     issues = validate_landmarks(LandmarkSet(pts), vol)
     assert issues  # bounds and/or implausible distance
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(key=st.text(max_size=12), value=st.sampled_from([None, 1, "cm", [0.0, 1.0, 2.0]]),
+       where=st.sampled_from(["file", "entry"]))
+def test_parse_landmarks_json_refuses_unknown_keys(tmp_path_factory, key, value, where):
+    doc = {"space": "world_mm", "frame": "RAS",
+           "landmarks": [{"id": 10, "name": "AC", "xyz": [0.0, 1.0, 2.0]}]}
+    target = doc if where == "file" else doc["landmarks"][0]
+    assume(key not in target)
+    target[key] = value
+    p = tmp_path_factory.getbasetemp() / "unknown-key.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(LabelError, match=f"unknown .*key {re.escape(repr(key))}") as err:
+        parse_landmarks(p)
+    assert len(str(err.value).splitlines()) == 1

@@ -2,10 +2,12 @@
 
 Each property runs the package metrics and ``metrics_reference`` on the
 same input and requires equal report rows (compared with ``==``), or the
-same exception type and message from both.
+same exception type and message from both.  PASD's nearest-voxel search
+is also held to a brute-force minimum over every voxel, bit for bit.
 """
 
 import functools
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -27,6 +29,8 @@ from hoarefine import (
     pasd,
     refine_full,
 )
+from hoarefine import metrics
+from hoarefine.metrics import _nearest_distances
 
 from conftest import resample
 
@@ -177,3 +181,79 @@ def test_random_blobs_match(seed, coarse, repeat, noise, spacing, kind, las):
                 _outcome(extract_separation_line, pred, slice_axis, index, pair, scan_axis),
                 _outcome(ref.extract_separation_line, pred, slice_axis, index, pair,
                          scan_axis))
+
+
+@functools.lru_cache(maxsize=None)
+def _far_pair(seed, kind):
+    """(prediction, reference, landmarks): the reference mirrored across
+    the midline or moved 40 slices, so that most PASD queries are far
+    from the predicted label and go to the cell pass."""
+    vol, lms = generate_phantom(seed)
+    moved = vol.data[::-1] if kind == "mirror-x" else np.roll(vol.data, 40, axis=1)
+    return vol.with_data(np.ascontiguousarray(moved)), vol, lms
+
+
+@PROPERTY
+@given(seed=st.integers(0, 1), kind=st.sampled_from(("mirror-x", "roll-j40")),
+       las=st.booleans())
+def test_far_predictions_match(seed, kind, las):
+    pred, gt, lms = _far_pair(seed, kind)
+    if las:
+        pred, gt = _to_las(pred), _to_las(gt)
+    got = evaluate_pair(pred, gt, lms)
+    assert _rows(got) == _rows(ref.evaluate_pair(pred, gt, lms))
+    assert [r.value for r in got.rows if r.metric == "pasd"]
+    for spec in DEFAULT_BOUNDARIES:
+        for bside in spec.sides:
+            args = (gt, pred, spec, lms, bside.side)
+            assert _outcome(pasd, *args, side_filter=False) == \
+                _outcome(ref.pasd, *args, side_filter=False)
+
+
+def _brute_nearest(queries, mask, origin, vol):
+    """The smallest distance from each query to any mask voxel, by cKDTree's
+    formula over world points converted in one call."""
+    pts = vol.voxel_to_world((np.argwhere(mask) + origin).astype(np.float64))
+    d = queries[:, None, :] - pts[None, :, :]
+    return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+                   + d[..., 2] * d[..., 2]).min(axis=1)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1),
+       dims=st.tuples(*[st.integers(2, 28)] * 3),
+       coarse=st.tuples(*[st.integers(1, 4)] * 3),
+       density=st.sampled_from((0.2, 0.5, 0.9)),
+       spacing=st.tuples(*[st.sampled_from((0.5, 0.7, 1.0, 1.3, 2.9))] * 3),
+       kind=st.sampled_from(("axis", "rotated", "shear-0.15", "shear-0.3", "shear-0.9")),
+       flip=st.booleans(),
+       offgrid=st.booleans(),
+       block=st.sampled_from((1 << 18, 50)))
+def test_nearest_search_is_brute_force_exact(seed, dims, coarse, density, spacing, kind,
+                                             flip, offgrid, block):
+    rng = np.random.default_rng(seed)
+    affine = _grid(kind, np.array(spacing), dims)
+    if flip:  # stored x axis reversed: not a canonical frame
+        affine[:3, 0] = -affine[:3, 0]
+    vol = Volume(np.zeros(dims, dtype=np.int16), affine)
+    # a box of the volume holding blocky noise, one voxel at least
+    lo = rng.integers(0, dims)
+    hi = lo + 1 + rng.integers(0, np.array(dims) - lo)
+    cells = rng.random(tuple(-(-(hi - lo) // np.array(coarse)))) < density
+    for ax, r in enumerate(coarse):
+        cells = np.repeat(cells, r, axis=ax)
+    mask = cells[tuple(slice(0, n) for n in hi - lo)]
+    mask.flat[rng.integers(mask.size)] = True
+    # queries anywhere in the volume: inside the mask, next to it, far off
+    vox = np.concatenate([rng.integers(0, dims, size=(20, 3)),
+                          np.argwhere(mask)[:5] + lo,
+                          np.clip(lo - 1 + rng.integers(0, hi - lo + 2, size=(10, 3)),
+                                  0, np.array(dims) - 1)])
+    queries = vol.voxel_to_world(vox.astype(np.float64))
+    if offgrid:  # the two grids may differ within _check_aligned's 1e-6
+        queries = queries + rng.uniform(-5e-7, 5e-7, size=queries.shape)
+    with mock.patch.object(metrics, "_BLOCK", block):
+        got = _nearest_distances(vox, queries, mask, lo, vol)
+    want = _brute_nearest(queries, mask, lo, vol)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want), np.flatnonzero(got != want)

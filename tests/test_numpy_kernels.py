@@ -1,7 +1,8 @@
-"""The numpy kernels of the refine path against the scipy.ndimage calls
-they replace: ``find_objects`` behind ``Volume.label_boxes``, and
-``label`` with a 4-connected cross and ``binary_dilation`` with a full
-3x3 square behind the inferior-horn chase.
+"""The numpy kernels against the scipy.ndimage calls they replace:
+``find_objects`` behind ``Volume.label_boxes``; ``label`` with a
+4-connected cross and ``binary_dilation`` with a full 3x3 square behind
+the inferior-horn chase; ``binary_erosion`` behind PASD's surface shell
+and the phantom's erosion.
 
 Each input is drawn in C order, in F order and as the strided
 ``[:, j, :]`` (or ``[:, j]``) view of a larger F-ordered array, the
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hoarefine.nifti import _label_boxes
+from hoarefine.nifti import _erode_6, _label_boxes
 from hoarefine.refine import _components_4, _dilate_3x3
 
 from conftest import make_volume
@@ -103,3 +104,17 @@ def test_label_boxes_match_find_objects(data, layout):
     want = tuple(ndi.find_objects(held))
     assert _label_boxes(held) == want
     assert make_volume(held).label_boxes == want
+
+
+@PROPERTY
+@given(mask=hnp.arrays(bool, hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=10)),
+       steps=st.integers(1, 3), layout=st.sampled_from(LAYOUTS))
+@example(mask=np.ones((1, 4, 5), dtype=bool), steps=1, layout="view")
+@example(mask=np.ones((9, 9, 9), dtype=bool), steps=3, layout="F")
+@example(mask=np.ones((7, 7, 7), dtype=bool), steps=3, layout="C")
+def test_erode_6_matches_ndi_binary_erosion(mask, steps, layout):
+    held = _held_as(mask, layout)
+    got = _erode_6(held, steps)
+    assert got.dtype == bool
+    assert np.array_equal(got, ndi.binary_erosion(mask, iterations=steps))
+    assert np.array_equal(held, mask)  # the input is left as it was
