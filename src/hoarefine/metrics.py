@@ -264,7 +264,7 @@ def _shell_is_exact(affine: np.ndarray) -> bool:
 # a float distance, so a voxel beyond it never holds the float minimum
 _SLACK = 1e-9
 _CELL = 8  # edge of a search cell, voxels
-_BLOCK = 1 << 18  # (query, offset) or (query, cell) pairs per vectorised step
+_BLOCK = 1 << 18  # (query, offset) pairs or measured voxels per vectorised step
 
 
 def _lattice_offsets(gram: np.ndarray, radius2: float):
@@ -308,8 +308,8 @@ def _nearest_distances(vox: np.ndarray, queries: np.ndarray, mask: np.ndarray,
     the zero step.  The queries it leaves go to a cell pass over 8^3
     cells of the mask's shell (``_shell_is_exact``), or of the whole mask
     on grids whose axes are too oblique: a query measures the voxels of
-    the cell with the lowest lower bound on v'Gv, then of every cell
-    whose bound does not exceed the nearest distance found there.
+    the cell whose world-mm bounding box is nearest, then of every cell
+    whose box is no farther than the nearest voxel found there.
     """
     lin = can.affine[:3, :3]
     gram = lin.T @ lin
@@ -317,25 +317,19 @@ def _nearest_distances(vox: np.ndarray, queries: np.ndarray, mask: np.ndarray,
     shape = np.array(mask.shape)
     out = np.full(len(vox), np.inf)  # squared distances until the end
     # a query's distance |s| from its voxel centre on this grid: 0 on
-    # one grid, and within _check_aligned's tolerance; each search
+    # one grid, and within _check_aligned's tolerance; the offset pass's
     # window widens by it
     off = queries - can.voxel_to_world(vox.astype(np.float64))
     shift = np.sqrt(off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1] + off[:, 2] * off[:, 2])
-    if (np.count_nonzero(lin, axis=1) <= 1).all():
-        # one term per world axis: a voxel's world mm round the same
-        # whatever else the call converts
-        def world_of(at):  # world mm of box-local voxel indices
-            return can.voxel_to_world((at + origin).astype(np.float64))
-    else:
-        # on oblique grids a row's rounding may depend on the call it is
-        # in, so convert every mask voxel at once, as a KD-tree over the
-        # label gets them, and look the voxels up
-        idx = np.nonzero(mask)
-        flat = np.ravel_multi_index(idx, mask.shape)
-        world = can.voxel_to_world((np.stack(idx, axis=1) + origin).astype(np.float64))
+    # every mask voxel converted in one call, as a KD-tree over the label
+    # gets them (on oblique grids a row's rounding may depend on the call
+    # it is in), then looked up by flat index
+    idx = np.nonzero(mask)
+    flat = np.ravel_multi_index(idx, mask.shape)
+    world = can.voxel_to_world((np.stack(idx, axis=1) + origin).astype(np.float64))
 
-        def world_of(at):
-            return world[np.searchsorted(flat, np.ravel_multi_index(tuple(at.T), mask.shape))]
+    def world_of(at):  # world mm of box-local voxel indices
+        return world[np.searchsorted(flat, np.ravel_multi_index(tuple(at.T), mask.shape))]
 
     radius2 = 4.0 * float(gram.diagonal().max())
     steps, q = _lattice_offsets(gram, radius2)
@@ -363,13 +357,13 @@ def _nearest_distances(vox: np.ndarray, queries: np.ndarray, mask: np.ndarray,
     rest = np.flatnonzero(out == np.inf)
     if rest.size:
         tree = mask & ~_erode_6(mask) if _shell_is_exact(can.affine) else mask
-        _cell_pass(rest, local, queries, shift, tree, gram, world_of, out)
+        _cell_pass(rest, queries, tree, world_of, out)
     return np.sqrt(out)
 
 
-def _cell_pass(rest, local, queries, shift, tree, gram, world_of, out) -> None:
+def _cell_pass(rest, queries, tree, world_of, out) -> None:
     """Squared distances of the queries ``rest`` to the voxels of ``tree``
-    into ``out``, by 8^3 cells pruned with lower bounds on v'Gv."""
+    into ``out``, by 8^3 cells pruned with their world-mm bounding boxes."""
     pts = np.argwhere(tree)
     key = np.ravel_multi_index(tuple((pts // _CELL).T),
                                tuple(-(-np.array(tree.shape) // _CELL)))
@@ -377,42 +371,44 @@ def _cell_pass(rest, local, queries, shift, tree, gram, world_of, out) -> None:
     pts, key = pts[order], key[order]
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     counts = np.diff(np.r_[starts, key.size])
-    lo = np.minimum.reduceat(pts, starts, axis=0)
-    hi = np.maximum.reduceat(pts, starts, axis=0)
     world = world_of(pts)
-    # two lower bounds on v'Gv for |v_c| >= gap_c: sum w_c gap_c^2, valid
-    # when every w_c >= 0 (diagonal dominance), and lam |gap|^2, lam the
-    # smallest eigenvalue of G
-    w = 2.0 * gram.diagonal() - np.abs(gram).sum(axis=1)
-    w = w if (w >= 0).all() else np.zeros(3)
-    lam = float(np.linalg.eigvalsh(gram)[0])
+    lo = np.minimum.reduceat(world, starts, axis=0)
+    hi = np.maximum.reduceat(world, starts, axis=0)
 
     def measure(rows, cells):
+        """Lower out[rows[i]] to the squared distance to each voxel of
+        cells[i], ``rows`` sorted, in pieces of at most _BLOCK voxels or
+        one cell."""
         n = counts[cells]
-        at = np.arange(n.sum()) + np.repeat(starts[cells] - np.cumsum(n) + n, n)
-        return _group_min(np.repeat(rows, n), queries, world[at])
+        ends = np.cumsum(n)
+        a = 0
+        while a < cells.size:
+            b = max(a + 1, int(np.searchsorted(ends, ends[a] - n[a] + _BLOCK, side="right")))
+            m = n[a:b]
+            at = np.arange(m.sum()) + np.repeat(starts[cells[a:b]] - np.cumsum(m) + m, m)
+            found, dist2 = _group_min(np.repeat(rows[a:b], m), queries, world[at])
+            out[found] = np.minimum(out[found], dist2)
+            a = b
 
-    # bounds (queries x cells) and measured pairs (queries x a few full
-    # cells) both stay near _BLOCK per step
+    # bounds (queries x cells) and eight full cells per query stay near
+    # _BLOCK per step: small steps keep the operands in cache
     chunk = max(1, _BLOCK // max(starts.size, 8 * int(counts.max())))
     for a in range(0, rest.size, chunk):
         rows = rest[a:a + chunk]
-        p = local[rows]
-        lb = norm2 = 0.0
+        p = queries[rows]
+        # squared distance to a cell's box, summed as _group_min sums: float
+        # rounding is monotone, so it never exceeds the float distance to a
+        # voxel of the cell, and a cell above a query's minimum holds no
+        # voxel that could lower it
+        lb = 0.0
         for c in range(3):
-            gap = np.maximum(np.maximum(lo[:, c] - p[:, c, None], p[:, c, None] - hi[:, c]), 0)
-            gap2 = np.square(gap, dtype=np.float64)
-            lb = lb + w[c] * gap2
-            norm2 = norm2 + gap2
-        lb = np.maximum(lb, lam * norm2)
+            gap = np.maximum(np.maximum(lo[:, c] - p[:, c, None], p[:, c, None] - hi[:, c]), 0.0)
+            lb = lb + gap * gap
         best = lb.argmin(axis=1)
-        _, ub = measure(rows, best)
-        out[rows] = ub
+        measure(rows, best)  # rows are still at inf: out becomes that cell's minimum
         lb[np.arange(rows.size), best] = np.inf
-        reach = (np.sqrt(ub) + shift[rows]) ** 2 * (1.0 + _SLACK)
-        r, cells = np.nonzero(lb <= reach[:, None])
-        found, dist2 = measure(rows[r], cells)
-        out[found] = np.minimum(out[found], dist2)
+        r, cells = np.nonzero(lb <= out[rows, None])
+        measure(rows[r], cells)
 
 
 def pasd(gt: Volume, pred: Volume, spec: BoundarySpec, lms: LandmarkSet,

@@ -228,7 +228,7 @@ def _brute_nearest(queries, mask, origin, vol):
        kind=st.sampled_from(("axis", "rotated", "shear-0.15", "shear-0.3", "shear-0.9")),
        flip=st.booleans(),
        offgrid=st.booleans(),
-       block=st.sampled_from((1 << 18, 50)))
+       block=st.sampled_from((1 << 18, 50, 1)))
 def test_nearest_search_is_brute_force_exact(seed, dims, coarse, density, spacing, kind,
                                              flip, offgrid, block):
     rng = np.random.default_rng(seed)
@@ -257,3 +257,22 @@ def test_nearest_search_is_brute_force_exact(seed, dims, coarse, density, spacin
     want = _brute_nearest(queries, mask, lo, vol)
     assert got.dtype == np.float64
     assert np.array_equal(got, want), np.flatnonzero(got != want)
+
+
+@settings(PROPERTY, max_examples=12)
+@given(kind=st.sampled_from(("axis", "rotated", "shear-0.9")),
+       block=st.sampled_from((1 << 18, 1)))
+def test_far_queries_search_past_the_nearest_cell(kind, block):
+    """Queries facing a scattered mask from afar all go to the cell pass,
+    where the nearest cell box often holds no nearest voxel; at
+    ``_BLOCK`` 1 each cell is measured in a piece of its own."""
+    rng = np.random.default_rng(7)
+    dims = (40, 36, 32)
+    vol = Volume(np.zeros(dims, dtype=np.int16), _grid(kind, np.array([0.7, 1.3, 1.0]), dims))
+    mask = rng.random((24, 20, 16)) < 0.05
+    lo = np.array([16, 16, 16])
+    vox = rng.integers((0, 16, 16), (12, 36, 32), size=(200, 3))
+    queries = vol.voxel_to_world(vox.astype(np.float64))
+    with mock.patch.object(metrics, "_BLOCK", block):
+        got = _nearest_distances(vox, queries, mask, lo, vol)
+    assert np.array_equal(got, _brute_nearest(queries, mask, lo, vol))
