@@ -260,23 +260,9 @@ def _shell_is_exact(affine: np.ndarray) -> bool:
     return bool(np.all(np.abs(cosines) < 0.25))
 
 
-# relative slack on squared lattice distances: far above the rounding of
-# a float distance, so a voxel beyond it never holds the float minimum
-_SLACK = 1e-9
 _CELL = 8  # edge of a search cell, voxels
-_BLOCK = 1 << 18  # (query, offset) pairs or measured voxels per vectorised step
-
-
-def _lattice_offsets(gram: np.ndarray, radius2: float):
-    """Every integer step v with v'Gv <= radius2, sorted by v'Gv, and v'Gv."""
-    # |v_c| <= sqrt(radius2 (G^-1)_cc) on that ellipsoid; one more for rounding
-    reach = np.sqrt(radius2 * np.diag(np.linalg.inv(gram))).astype(np.int64) + 1
-    steps = np.stack(np.meshgrid(*[np.arange(-r, r + 1) for r in reach],
-                                 indexing="ij"), axis=-1).reshape(-1, 3)
-    q = np.einsum("ni,ij,nj->n", steps, gram, steps)
-    keep = np.flatnonzero(q <= radius2)
-    order = keep[np.argsort(q[keep], kind="stable")]
-    return steps[order], q[order]
+# measured voxels, or query-by-cell box bounds, per vectorised step
+_BLOCK = 1 << 18
 
 
 def _group_min(who: np.ndarray, queries: np.ndarray, pts: np.ndarray):
@@ -296,31 +282,23 @@ def _group_min(who: np.ndarray, queries: np.ndarray, pts: np.ndarray):
 
 def _nearest_distances(vox: np.ndarray, queries: np.ndarray, mask: np.ndarray,
                        origin: np.ndarray, can: Volume) -> np.ndarray:
-    """Distance (mm) from each world point ``queries[n]``, the centre of
-    voxel ``vox[n]`` of ``can``'s grid, to the nearest voxel of ``mask``,
-    a box of that grid starting at voxel ``origin``.
+    """Distance (mm) from each world point ``queries[n]``, near the centre
+    of voxel ``vox[n]`` of ``can``'s grid, to the nearest voxel of
+    ``mask``, a box of that grid starting at voxel ``origin``.
 
-    Both sets lie on one lattice, so the search runs in index space on
-    the squared grid metric v'Gv (G = A'A, A the affine's linear part).
-    An offset pass tries the integer steps within twice the widest voxel
-    step, nearest first, and measures in world mm only the steps within
-    ``_SLACK`` of a query's first hit; a query inside the mask stops at
-    the zero step.  The queries it leaves go to a cell pass over 8^3
-    cells of the mask's shell (``_shell_is_exact``), or of the whole mask
-    on grids whose axes are too oblique: a query measures the voxels of
-    the cell whose world-mm bounding box is nearest, then of every cell
-    whose box is no farther than the nearest voxel found there.
+    Each ``queries[n]`` must lie within a small fraction of a voxel of
+    its voxel's centre, as ``_check_aligned``'s 1e-6 bound on the two
+    grids gives.  Then a query whose voxel is in the mask is nearest that
+    voxel.  Every other query goes to a cell pass over 8^3 cells of the
+    mask's shell (``_shell_is_exact``), or of the whole mask on grids
+    whose axes are too oblique: it measures the voxels of the cell whose
+    world-mm bounding box is nearest, then of every cell whose box is no
+    farther than the nearest voxel found there.  All distances are
+    measured to voxel centres converted in one call, with cKDTree's sum,
+    so they equal a KD-tree query over the mask's voxels bit for bit.
     """
-    lin = can.affine[:3, :3]
-    gram = lin.T @ lin
     local = vox - origin
-    shape = np.array(mask.shape)
     out = np.full(len(vox), np.inf)  # squared distances until the end
-    # a query's distance |s| from its voxel centre on this grid: 0 on
-    # one grid, and within _check_aligned's tolerance; the offset pass's
-    # window widens by it
-    off = queries - can.voxel_to_world(vox.astype(np.float64))
-    shift = np.sqrt(off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1] + off[:, 2] * off[:, 2])
     # every mask voxel converted in one call, as a KD-tree over the label
     # gets them (on oblique grids a row's rounding may depend on the call
     # it is in), then looked up by flat index
@@ -331,30 +309,12 @@ def _nearest_distances(vox: np.ndarray, queries: np.ndarray, mask: np.ndarray,
     def world_of(at):  # world mm of box-local voxel indices
         return world[np.searchsorted(flat, np.ravel_multi_index(tuple(at.T), mask.shape))]
 
-    radius2 = 4.0 * float(gram.diagonal().max())
-    steps, q = _lattice_offsets(gram, radius2)
-    reach = np.abs(steps).max(axis=0)
-    padded = np.zeros(shape + 4 * reach, dtype=bool)
-    padded[tuple(slice(2 * r, 2 * r + n) for r, n in zip(reach, shape))] = mask
-    strides = np.array(padded.strides, dtype=np.int64)  # bool: 1 byte per voxel
-    near = np.flatnonzero(np.all((local >= -reach) & (local < shape + reach), axis=1))
-    base = (local[near] + 2 * reach) @ strides
-    step_at = steps @ strides
-    lattice = padded.ravel()
-    chunk = max(1, _BLOCK // len(steps))
-    for a in range(0, near.size, chunk):
-        rows = near[a:a + chunk]
-        hits = lattice[base[a:a + chunk, None] + step_at]
-        first = hits.argmax(axis=1)
-        top = (np.sqrt(q[first]) + 2.0 * shift[rows]) ** 2 * (1.0 + _SLACK)
-        # resolved: a hit, and every step as near as it within the pass
-        done = hits[np.arange(rows.size), first] & (top <= radius2)
-        r, o = np.nonzero(hits[done] & (q <= top[done, None]))
-        rows = rows[done]
-        found, dist2 = _group_min(rows[r], queries, world_of(local[rows[r]] + steps[o]))
-        out[found] = dist2
-
-    rest = np.flatnonzero(out == np.inf)
+    inside = np.all((local >= 0) & (local < mask.shape), axis=1)
+    inside[inside] = mask[tuple(local[inside].T)]
+    rows = np.flatnonzero(inside)
+    found, dist2 = _group_min(rows, queries, world_of(local[rows]))
+    out[found] = dist2
+    rest = np.flatnonzero(~inside)
     if rest.size:
         tree = mask & ~_erode_6(mask) if _shell_is_exact(can.affine) else mask
         _cell_pass(rest, queries, tree, world_of, out)
@@ -422,10 +382,13 @@ def pasd(gt: Volume, pred: Volume, spec: BoundarySpec, lms: LandmarkSet,
     whole label.  Undefined (raises) when either set is empty.
 
     Only the predicted label's bounding box is read.  Surface and
-    predicted voxels share one lattice, so the nearest predicted voxel
-    is found exactly in index space (``_nearest_distances``) and only
-    it and its near ties are measured in world mm, with cKDTree's
-    formula: the values equal a KD-tree query over every predicted voxel.
+    predicted voxels share one lattice within 1e-6, so a surface voxel
+    inside the prediction is nearest itself, and one search over cells
+    of the prediction's shell serves the rest (``_nearest_distances``).
+    Candidates are measured in world mm with cKDTree's formula, and a
+    cell is skipped only when its bounding box is farther than a voxel
+    already found: the values equal a KD-tree query over every
+    predicted voxel.
     """
     _check_aligned(pred, gt)
     bside = spec.side(side)
@@ -566,19 +529,9 @@ def wilcoxon_signed_rank(a, b) -> tuple[float, float]:
     n = d.size
     if n < 5:
         raise MetricUndefinedError(f"need >= 5 nonzero pairs, got {n}")
-    absd = np.abs(d)
-    order = np.argsort(absd, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
-    sorted_abs = absd[order]
-    i = 0
-    rank_of_sorted = np.empty(n, dtype=np.float64)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_abs[j + 1] == sorted_abs[i]:
-            j += 1
-        rank_of_sorted[i:j + 1] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
-    ranks[order] = rank_of_sorted
+    _, inv, tie_counts = np.unique(np.abs(d), return_inverse=True, return_counts=True)
+    # 1-based average rank of each tie group: half-integers, exact in floats
+    ranks = ((np.cumsum(tie_counts) - tie_counts) + (tie_counts + 1) / 2.0)[inv]
     w_plus = float(ranks[d > 0].sum())
 
     if n <= 20:
@@ -598,7 +551,6 @@ def wilcoxon_signed_rank(a, b) -> tuple[float, float]:
 
     mu = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
-    _, tie_counts = np.unique(absd, return_counts=True)
     var -= float(np.sum(tie_counts**3 - tie_counts)) / 48.0
     if var <= 0:
         raise MetricUndefinedError("zero variance after tie correction")
@@ -611,7 +563,9 @@ def wilcoxon_signed_rank(a, b) -> tuple[float, float]:
 
 
 def benjamini_hochberg(pvalues, q: float) -> np.ndarray:
-    """BH step-up: boolean significance flags at FDR level q."""
+    """BH step-up: boolean significance flags at FDR level q, 0 < q <= 1."""
+    if not 0.0 < q <= 1.0:  # NaN fails too
+        raise MetricError(f"FDR level q must lie in (0, 1], got {q}")
     p = np.asarray(pvalues, dtype=np.float64)
     m = p.size
     flags = np.zeros(m, dtype=bool)
@@ -664,10 +618,8 @@ def wilcoxon_fdr(table: PairedSampleTable, q: float = 0.05):
         pvals.append(p)
     defined = [i for i, p in enumerate(pvals) if not np.isnan(p)]
     flags = [False] * len(pvals)
-    if defined:
-        sub = benjamini_hochberg([pvals[i] for i in defined], q)
-        for i, f in zip(defined, sub):
-            flags[i] = bool(f)
+    for i, f in zip(defined, benjamini_hochberg([pvals[i] for i in defined], q)):
+        flags[i] = bool(f)
     return [
         {"column": col, "statistic": stats[i], "p_value": pvals[i],
          "significant": flags[i]}

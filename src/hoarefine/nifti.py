@@ -14,8 +14,8 @@ Header fields consumed (byte offsets into the 348-byte header)::
       72     2    bitpix       bits per voxel (cross-checked)
       76    32    pixdim[8]    qfac + voxel spacings
      108     4    vox_offset   start of the data block
-     112     4    scl_slope    value scaling (slope)
-     116     4    scl_inter    value scaling (intercept)
+     112     4    scl_slope    must be identity: 1, or 0 or NaN (unset)
+     116     4    scl_inter    must be identity: 0, or NaN (unset)
      252     2    qform_code   quaternion transform validity
      254     2    sform_code   affine transform validity
      256    12    quatern_b/c/d
@@ -117,8 +117,6 @@ class Volume:
     data: np.ndarray
     affine: np.ndarray
     taxonomy: str | None = None
-    scl_slope: float = 1.0
-    scl_inter: float = 0.0
 
     def __post_init__(self):
         data = np.asarray(self.data)
@@ -198,8 +196,7 @@ class Volume:
 
     def with_data(self, data: np.ndarray, taxonomy: str | None = "keep") -> "Volume":
         tax = self.taxonomy if taxonomy == "keep" else taxonomy
-        return Volume(data, self.affine, taxonomy=tax,
-                      scl_slope=self.scl_slope, scl_inter=self.scl_inter)
+        return Volume(data, self.affine, taxonomy=tax)
 
 
 _BOX_BAND = 63  # labels per data pass: bits 1..63 of a uint64, bit 0 for the rest
@@ -269,8 +266,8 @@ def read_volume(path: str | Path) -> Volume:
     """Read a ``.nii`` or ``.nii.gz`` file into a :class:`Volume`.
 
     Raises NiftiFormatError for truncated files, bad magic, unsupported
-    datatypes, or volumes that are not 3D after squeezing trailing
-    singleton dimensions.
+    datatypes, scaled data (scl_slope/scl_inter other than identity), or
+    volumes that are not 3D after squeezing trailing singleton dimensions.
     """
     path = Path(path)
     try:
@@ -368,17 +365,19 @@ def read_volume(path: str | Path) -> Volume:
     intent_name = raw[328:344].rstrip(b"\x00")
     taxonomy = TAXONOMY_FOR_TAG.get(intent_name)
 
+    # writers put 0 or NaN in an unscaled image's fields; any real scaling
+    # would change the stored labels, so it is refused rather than applied
     slope = float(scl_slope) if scl_slope != 0.0 and np.isfinite(scl_slope) else 1.0
     inter = float(scl_inter) if np.isfinite(scl_inter) else 0.0
-    # integer label maps keep raw values; scaling applies to float images
-    if (slope, inter) != (1.0, 0.0) and np.issubdtype(dtype, np.floating):
-        data = (data.astype(np.float32) * slope + inter)
-        slope, inter = 1.0, 0.0
+    if (slope, inter) != (1.0, 0.0):
+        raise NiftiFormatError(
+            f"{path}: scaled data (scl_slope {scl_slope}, scl_inter {scl_inter}) "
+            "is not supported")
 
     # native byte order in memory regardless of file order; the voxels
     # stay in the file's Fortran order
     data = data.astype(dtype.newbyteorder("="), copy=False)
-    return Volume(data, affine, taxonomy=taxonomy, scl_slope=slope, scl_inter=inter)
+    return Volume(data, affine, taxonomy=taxonomy)
 
 
 def write_volume(vol: Volume, path: str | Path) -> None:
@@ -412,14 +411,14 @@ def write_volume(vol: Volume, path: str | Path) -> None:
     struct.pack_into("<h", hdr, 70, CODE_FOR_DTYPE[np.dtype(out_dtype)])
     struct.pack_into("<h", hdr, 72, out_dtype.itemsize * 8)
     struct.pack_into("<f", hdr, 108, float(HDR_SIZE + 4))  # 4-byte extender pad
+    struct.pack_into("<2f", hdr, 112, 1.0, 0.0)  # scl_slope/scl_inter: unscaled
     struct.pack_into("<h", hdr, 252, 0)  # qform_code: sform is authoritative
     struct.pack_into("<h", hdr, 254, 2)  # sform_code: aligned to some template
     try:  # a finite value beyond float32 range has no header encoding
         struct.pack_into("<8f", hdr, 76, 1.0, *vol.spacing, 0.0, 0.0, 0.0, 0.0)
-        struct.pack_into("<2f", hdr, 112, vol.scl_slope, vol.scl_inter)
         struct.pack_into("<12f", hdr, 280, *vol.affine[:3].ravel())  # srow_x/y/z
     except OverflowError as exc:
-        raise NiftiError(f"{path}: spacing, scaling or affine outside float32: {exc}") from exc
+        raise NiftiError(f"{path}: spacing or affine outside float32: {exc}") from exc
     if vol.taxonomy is not None:
         tag = TAXONOMY_TAGS[vol.taxonomy]
         hdr[328:328 + len(tag)] = tag
@@ -552,9 +551,7 @@ def reorient_to_canonical(vol: Volume) -> tuple[Volume, AxisMap]:
     affine = np.eye(4)
     affine[:3, :3] = new_lin
     affine[:3, 3] = trans
-    out = Volume(data, affine, taxonomy=vol.taxonomy,
-                 scl_slope=vol.scl_slope, scl_inter=vol.scl_inter)
-    return out, amap
+    return Volume(data, affine, taxonomy=vol.taxonomy), amap
 
 
 def round_half_away(x) -> np.ndarray:

@@ -241,8 +241,8 @@ class ZeroPredictor:
 
 def derive_sigma(r: float) -> float:
     """Gaussian scale whose 3D norm stays within r for 95% of draws."""
-    if r < 0:
-        raise ShapeModelError(f"radius must be non-negative, got {r}")
+    if not 0 <= r < np.inf:  # NaN fails too
+        raise ShapeModelError(f"radius must be finite and non-negative, got {r}")
     return float(r) / CHI3_Q95
 
 
@@ -254,6 +254,8 @@ def sample_patch_centers(p, r: float, n: int, seed: int,
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (3,):
         raise ShapeModelError("center must be a 3-vector")
+    if not np.all(np.isfinite(p)):
+        raise ShapeModelError(f"center must be finite, got {p.tolist()}")
     sigma = derive_sigma(r)
     rng = np.random.default_rng(seed)
     deltas = rng.normal(0.0, sigma, size=(n, 3))

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from hoarefine import (
     LandmarkSet,
     Volume,
+    coronal_slice_index,
     degrade_phantom,
     fuse_labels,
     generate_phantom,
@@ -272,6 +273,9 @@ class TestExitCodes:
         ("fuse", "vox-offset-0", 1),
         ("fuse", "vox-offset-352.9", 1),
         ("fuse", "spacing-beyond-float32", 1),
+        ("fuse", "scl-slope-2", 1),
+        ("refine", "scl-slope-2", 1),
+        ("evaluate", "scl-slope-2", 1),
         ("refine", "truncated-gz", 1),
         ("evaluate", "truncated-gz", 1),
         ("refine", "oblique-affine", 1),
@@ -297,6 +301,11 @@ class TestExitCodes:
             raw = bytearray(vol.read_bytes())
             struct.pack_into("<f", raw, 108, float(defect.rsplit("-", 1)[1]))
             vol = tmp_path / "bad-offset.nii"
+            vol.write_bytes(bytes(raw))
+        elif defect == "scl-slope-2":  # labels read as twice their value
+            raw = bytearray(vol.read_bytes())
+            struct.pack_into("<f", raw, 112, 2.0)
+            vol = tmp_path / "scaled.nii"
             vol.write_bytes(bytes(raw))
         elif defect == "spacing-beyond-float32":
             # each srow value fits float32, the x column's norm does not
@@ -462,6 +471,16 @@ class TestStats:
         assert main(["stats", str(a), str(a)]) == 2
         assert "header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("q", ["5", "nan", "-1", "0"])
+    def test_q_outside_unit_interval_is_invalid(self, tmp_path, capsys, q):
+        a, b = self._tables(tmp_path)
+        out = tmp_path / "stats.json"
+        capsys.readouterr()
+        assert main(["stats", str(a), str(b), "--q", q, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "FDR level" in err[0]
+        assert not out.exists()
+
     def test_csv_output(self, tmp_path, capsys):
         a, b = self._tables(tmp_path)
         assert main(["stats", str(a), str(b), "--format", "csv"]) == 0
@@ -485,6 +504,23 @@ class TestPhantomCommand:
         vol = read_volume(out)
         assert vol.taxonomy == "fused12"
         assert int(vol.data.max()) <= 12
+        # stored LAS, refined, then fuse, refine, fuse: each fuse gives back
+        # the labels refined, but for the fused-3 voxels strictly anterior
+        # of #9's slice, which rule (iii) makes CSF (fused 2)
+        affine = vol.affine.copy()
+        affine[:3, 3] += affine[:3, 0] * (vol.dims[0] - 1)
+        affine[:3, 0] = -affine[:3, 0]
+        write_volume(Volume(vol.data[::-1], affine, taxonomy="fused12"), tmp_path / "las.nii")
+        lm = str(tmp_path / "noisy.landmarks.json")
+        for command, src, dst in [("refine", "las", "fine"), ("fuse", "fine", "a"),
+                                  ("refine", "a", "b"), ("fuse", "b", "c")]:
+            argv = [command, str(tmp_path / f"{src}.nii"), str(tmp_path / f"{dst}.nii")]
+            assert main(argv + (["--landmarks", lm] if command == "refine" else [])) == 0
+        las, a, c = (read_volume(tmp_path / f"{n}.nii") for n in ("las", "a", "c"))
+        anterior = np.arange(vol.dims[1])[None, :, None] \
+            > coronal_slice_index(las, parse_landmarks(lm)[9])
+        assert np.array_equal(a.data, np.where((las.data == 3) & anterior, 2, las.data))
+        assert np.array_equal(c.data, a.data)
 
     def test_degraded_landmarks_move(self, tmp_path):
         clean = tmp_path / "clean.nii"
@@ -528,6 +564,17 @@ class TestShapeCommands:
         doc = json.loads(sample_path.read_text())
         assert doc["side"] == 16
         assert len(doc["points"]) == 100
+
+    @pytest.mark.parametrize("center, radius", [
+        ("nan,0,0", "4"), ("0,inf,0", "4"), ("1,2,3", "nan"), ("1,2,3", "inf")])
+    def test_non_finite_sample_is_invalid(self, tmp_path, capsys, center, radius):
+        out = tmp_path / "patches.json"
+        capsys.readouterr()
+        assert main(["shape", "sample", "--center", center, "--radius", radius,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "finite" in err[0]
+        assert not out.exists()
 
     def test_too_many_coefficients(self, work, tmp_path, capsys):
         lm_files = [str(work / "lm" / f"p{s}.json") for s in (0, 1)]
@@ -613,7 +660,8 @@ def test_version_flag(capsys):
 # (name, byte offset, struct format) of each header field the mutation
 # test rewrites; the intent_name tag and the payload stay as written
 HEADER_FIELDS = [("sizeof_hdr", 0, "i"), ("datatype", 70, "h"), ("bitpix", 72, "h"),
-                 ("vox_offset", 108, "f"), ("qform_code", 252, "h"),
+                 ("vox_offset", 108, "f"), ("scl_slope", 112, "f"),
+                 ("scl_inter", 116, "f"), ("qform_code", 252, "h"),
                  ("sform_code", 254, "h"), ("magic", 344, "4s")]
 HEADER_FIELDS += [(f"dim[{i}]", 40 + 2 * i, "h") for i in range(8)]
 HEADER_FIELDS += [(f"pixdim[{i}]", 76 + 4 * i, "f") for i in range(8)]

@@ -23,6 +23,7 @@ from hoarefine import (
     PhantomSpec,
     RefinementConfig,
     Volume,
+    coronal_slice_index,
     degrade_phantom,
     evaluate_pair,
     fuse_labels,
@@ -171,6 +172,11 @@ def test_refine_full_ignores_layout(seed, las, cfg, layout):
         else:
             outcomes.append((out.data.dtype, out.data.tobytes(order="C"),
                              out.affine.tobytes()))
+            # fusing the output gives the input back, except the fused-3
+            # voxels strictly anterior of #9's slice: rule (iii) makes them CSF
+            anterior = np.arange(vol.dims[1])[None, :, None] > coronal_slice_index(vol, lms[9])
+            want = np.where((vol.data == 3) & anterior, 2, vol.data)
+            assert np.array_equal(fuse_labels(out).data, want)
     assert outcomes[0] == outcomes[1]
 
 

@@ -369,6 +369,11 @@ class TestBenjaminiHochberg:
         flags = benjamini_hochberg([0.04, 0.5, 0.9], 0.05)
         assert flags.tolist() == [False, False, False]
         assert benjamini_hochberg([], 0.05).size == 0
+        assert benjamini_hochberg([0.5, 0.9], 1.0).tolist() == [True, True]
+        for q in (0.0, -1.0, 1.5, 5.0, float("nan"), float("inf")):
+            for p in ([0.01, 0.5], []):
+                with pytest.raises(MetricError, match="FDR level"):
+                    benjamini_hochberg(p, q)
 
     def test_monotone_in_q(self):
         rng = np.random.default_rng(12)

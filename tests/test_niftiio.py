@@ -238,25 +238,26 @@ def test_unsupported_int_dtype_narrows(tmp_path):
         write_volume(vol2, tmp_path / "b.nii")
 
 
-def test_scaling_applied_to_float_not_labels(tmp_path):
-    vol = make_volume(np.arange(8, dtype=np.float32).reshape(2, 2, 2))
+@pytest.mark.parametrize("dtype", [np.int16, np.float32], ids=["int16", "float32"])
+def test_scaled_data_is_refused(tmp_path, dtype):
+    vol = make_volume(np.arange(8, dtype=dtype).reshape(2, 2, 2))
     path = tmp_path / "s.nii"
     write_volume(vol, path)
-    raw = bytearray(path.read_bytes())
-    struct.pack_into("<f", raw, 112, 2.0)   # scl_slope
-    struct.pack_into("<f", raw, 116, 1.0)   # scl_inter
-    path.write_bytes(bytes(raw))
-    assert np.allclose(read_volume(path).data,
-                       2.0 * np.arange(8).reshape(2, 2, 2) + 1.0)
-
-    lab = make_volume(np.arange(8, dtype=np.int16).reshape(2, 2, 2))
-    lpath = tmp_path / "l.nii"
-    write_volume(lab, lpath)
-    raw = bytearray(lpath.read_bytes())
-    struct.pack_into("<f", raw, 112, 2.0)
-    struct.pack_into("<f", raw, 116, 1.0)
-    lpath.write_bytes(bytes(raw))
-    assert np.array_equal(read_volume(lpath).data, lab.data)  # untouched
+    good = path.read_bytes()
+    # unset fields as other tools write them still read as identity
+    for slope, inter in [(0.0, 0.0), (1.0, 0.0), (float("nan"), float("nan")),
+                         (0.0, float("nan"))]:
+        raw = bytearray(good)
+        struct.pack_into("<2f", raw, 112, slope, inter)
+        path.write_bytes(bytes(raw))
+        assert np.array_equal(read_volume(path).data, vol.data)
+    for slope, inter in [(2.0, 1.0), (2.0, 0.0), (-1.0, 0.0), (1.0, 1.0),
+                         (float("nan"), 1.0)]:
+        raw = bytearray(good)
+        struct.pack_into("<2f", raw, 112, slope, inter)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NiftiFormatError, match="scaled data"):
+            read_volume(path)
 
 
 def test_rejects_bad_magic_and_truncation(tmp_path):

@@ -204,8 +204,14 @@ class TestSampler:
         assert CHI3_Q95 == 2.7954834829151074
         assert derive_sigma(CHI3_Q95) == 1.0
         assert derive_sigma(5.0) == pytest.approx(2 * derive_sigma(2.5), abs=0)
-        with pytest.raises(ShapeModelError):
-            derive_sigma(-1.0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ShapeModelError):
+                derive_sigma(bad)
+            with pytest.raises(ShapeModelError):
+                sample_patch_centers((0.0, 0.0, 0.0), r=bad, n=3, seed=1)
+        for bad in ((float("nan"), 0.0, 0.0), (0.0, float("inf"), 0.0)):
+            with pytest.raises(ShapeModelError, match="finite"):
+                sample_patch_centers(bad, r=1.0, n=3, seed=1)
 
     def test_in_radius_mass_near_95_percent(self):
         r = 4.0
