@@ -200,11 +200,8 @@ def _surface_voxels(can: Volume, spec: BoundarySpec, lms: LandmarkSet,
     with_neighbor = np.zeros(data.shape[1], dtype=bool)
     with_neighbor[nbox[1]] = (data[nbox] == bside.neighbor).any(axis=(0, 2))
     mask = (data[box] == bside.label) & with_neighbor[box[1]][None, :, None]
-    nx = data.shape[0]
-    xs_axis = can.voxel_to_world(
-        np.column_stack([np.arange(nx, dtype=np.float64),
-                         np.zeros(nx), np.zeros(nx)]))[:, 0]
-    absx = np.abs(xs_axis[box[0]])[:, None, None]
+    ii = np.arange(box[0].start, box[0].stop)
+    absx = np.abs(can.voxel_to_world(np.column_stack((ii, 0 * ii, 0 * ii)))[:, 0])[:, None, None]
     # per (j, k) row, the label voxel nearest the separator (lowest i on
     # ties): the most lateral one of a medial structure and vice versa
     if _is_medial(bside):
@@ -294,36 +291,27 @@ def _nearest_distances(vox: np.ndarray, queries: np.ndarray, mask: np.ndarray,
     whose axes are too oblique: it measures the voxels of the cell whose
     world-mm bounding box is nearest, then of every cell whose box is no
     farther than the nearest voxel found there.  All distances are
-    measured to voxel centres converted in one call, with cKDTree's sum,
-    so they equal a KD-tree query over the mask's voxels bit for bit.
+    measured to voxel centres with cKDTree's sum, so they equal a KD-tree
+    query over the mask's voxels bit for bit.
     """
     local = vox - origin
     out = np.full(len(vox), np.inf)  # squared distances until the end
-    # every mask voxel converted in one call, as a KD-tree over the label
-    # gets them (on oblique grids a row's rounding may depend on the call
-    # it is in), then looked up by flat index
-    idx = np.nonzero(mask)
-    flat = np.ravel_multi_index(idx, mask.shape)
-    world = can.voxel_to_world((np.stack(idx, axis=1) + origin).astype(np.float64))
-
-    def world_of(at):  # world mm of box-local voxel indices
-        return world[np.searchsorted(flat, np.ravel_multi_index(tuple(at.T), mask.shape))]
-
     inside = np.all((local >= 0) & (local < mask.shape), axis=1)
     inside[inside] = mask[tuple(local[inside].T)]
     rows = np.flatnonzero(inside)
-    found, dist2 = _group_min(rows, queries, world_of(local[rows]))
+    found, dist2 = _group_min(rows, queries, can.voxel_to_world(vox[rows]))
     out[found] = dist2
     rest = np.flatnonzero(~inside)
     if rest.size:
         tree = mask & ~_erode_6(mask) if _shell_is_exact(can.affine) else mask
-        _cell_pass(rest, queries, tree, world_of, out)
+        _cell_pass(rest, queries, tree, origin, can, out)
     return np.sqrt(out)
 
 
-def _cell_pass(rest, queries, tree, world_of, out) -> None:
-    """Squared distances of the queries ``rest`` to the voxels of ``tree``
-    into ``out``, by 8^3 cells pruned with their world-mm bounding boxes."""
+def _cell_pass(rest, queries, tree, origin, can, out) -> None:
+    """Squared distances of the queries ``rest`` to the voxels of ``tree``,
+    a box of ``can``'s grid starting at voxel ``origin``, into ``out``, by
+    8^3 cells pruned with their world-mm bounding boxes."""
     pts = np.argwhere(tree)
     key = np.ravel_multi_index(tuple((pts // _CELL).T),
                                tuple(-(-np.array(tree.shape) // _CELL)))
@@ -331,7 +319,7 @@ def _cell_pass(rest, queries, tree, world_of, out) -> None:
     pts, key = pts[order], key[order]
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     counts = np.diff(np.r_[starts, key.size])
-    world = world_of(pts)
+    world = can.voxel_to_world(pts + origin)
     lo = np.minimum.reduceat(world, starts, axis=0)
     hi = np.maximum.reduceat(world, starts, axis=0)
 
@@ -597,6 +585,11 @@ class PairedSampleTable:
             raise MetricError(
                 f"table shapes {a.shape}/{b.shape} do not match "
                 f"{len(self.subjects)} subjects x {len(self.columns)} columns")
+        bad = np.argwhere(~np.isfinite(np.stack((a, b))))
+        if bad.size:  # a NaN would be ranked as a difference
+            t, r, c = bad[0]
+            raise MetricError(f"table {'ab'[t]} holds {(a, b)[t][r, c]} for subject "
+                              f"{self.subjects[r]!r}, column {self.columns[c]!r}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 

@@ -179,24 +179,24 @@ class Volume:
 
     def voxel_to_world(self, ijk) -> np.ndarray:
         """Map voxel indices to world mm.  Accepts shape (3,) or (N, 3)."""
-        ijk = np.asarray(ijk, dtype=np.float64)
-        single = ijk.ndim == 1
-        pts = np.atleast_2d(ijk)
-        out = pts @ self.affine[:3, :3].T + self.affine[:3, 3]
-        return out[0] if single else out
+        return _map_rows(self.affine, ijk)
 
     def world_to_voxel(self, xyz) -> np.ndarray:
         """Map world mm to (fractional) voxel indices."""
-        xyz = np.asarray(xyz, dtype=np.float64)
-        single = xyz.ndim == 1
-        pts = np.atleast_2d(xyz)
-        inv = np.linalg.inv(self.affine)
-        out = pts @ inv[:3, :3].T + inv[:3, 3]
-        return out[0] if single else out
+        return _map_rows(np.linalg.inv(self.affine), xyz)
 
     def with_data(self, data: np.ndarray, taxonomy: str | None = "keep") -> "Volume":
         tax = self.taxonomy if taxonomy == "keep" else taxonomy
         return Volume(data, self.affine, taxonomy=tax)
+
+
+def _map_rows(affine: np.ndarray, pts) -> np.ndarray:
+    """``affine`` applied to each row of ``pts``, shape (..., 3): coordinate
+    c is i*a[c,0] + j*a[c,1] + k*a[c,2] + a[c,3], summed left to right in
+    elementwise float64 steps, with no matrix product, so a row's value
+    depends neither on the other rows of the call nor on the BLAS build."""
+    i, j, k = np.moveaxis(np.asarray(pts, dtype=np.float64), -1, 0)
+    return np.stack([i * a[0] + j * a[1] + k * a[2] + a[3] for a in affine[:3]], axis=-1)
 
 
 _BOX_BAND = 63  # labels per data pass: bits 1..63 of a uint64, bit 0 for the rest
@@ -247,9 +247,11 @@ def _label_boxes(data: np.ndarray) -> tuple:
 def _erode_6(mask: np.ndarray, steps: int = 1) -> np.ndarray:
     """``mask`` eroded ``steps`` times by the 6-neighbour cross, with
     everything beyond the array counted as outside (scipy's
-    ``binary_erosion`` with its default structure and border 0)."""
+    ``binary_erosion`` with its default structure and border 0); stops once empty."""
     out = np.array(mask, dtype=bool, order="K")
     for _ in range(steps):
+        if not out.any():
+            break
         prev = out.copy(order="K")
         for ax in range(out.ndim):
             lo = [slice(None)] * out.ndim

@@ -325,9 +325,9 @@ def degrade_phantom(
                     data[tuple(ijk)] = vals[rng.integers(vals.size)]
         return v12.with_data(data), lms
 
+    if not (float(amount).is_integer() and amount >= 1):  # refuses inf and nan too
+        raise PhantomError(f"erosion amount must be a whole step count >= 1, got {amount}")
     steps = int(amount)
-    if steps < 1:
-        raise PhantomError("erosion amount must be a positive step count")
     for lab in np.unique(data):
         if lab == 0:
             continue

@@ -160,7 +160,6 @@ def split_hemispheres(
     cfg = cfg or RefinementConfig()
     hemi = np.zeros(vol12.dims, dtype=np.uint8, order=vol12.order)
     box = vol12.box(BILATERAL_FUSED) or _NO_BOX
-    # box-local indices, in the C order of the full-volume call
     idx = np.nonzero(np.isin(vol12.data[box], list(BILATERAL_FUSED)))
     s = plane.signed_distance(_world_coords(vol12, idx, box))
 
@@ -438,18 +437,14 @@ def _centroids_world(vol12: Volume, comps, ids, box, j: int) -> np.ndarray:
     """World centroids, shape (len(ids), 3), of components ``ids`` of
     ``comps``, the crop of ``box``-local slice j.
 
-    The index sums, box offset included, are integers and so exact in
-    float64.  Each centroid is mapped on its own because a batched
-    matrix product may round differently from the single-point one, and
-    ties between candidates must break the same way whatever their number.
+    The index sums, box offset included, are integers, exact in float64.
     """
     ii, kk = np.nonzero(comps)
     lab = comps[ii, kk]
     count = np.bincount(lab)[ids]
     ci = np.bincount(lab, weights=ii + box[0].start)[ids] / count
     ck = np.bincount(lab, weights=kk + box[2].start)[ids] / count
-    return np.array([vol12.voxel_to_world((a, float(j + box[1].start), b))
-                     for a, b in zip(ci, ck)])
+    return vol12.voxel_to_world(np.column_stack((ci, np.full(ci.shape, j + box[1].start), ck)))
 
 
 def refine_full(

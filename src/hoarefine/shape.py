@@ -287,14 +287,23 @@ def save_model(model: ShapeModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ShapeModel:
+    """Read a model written by ``save_model``; ShapeModelError when the
+    file does not hold one."""
     with open(path) as f:
-        doc = json.load(f)
-    model = ShapeModel(
-        mean=np.array(doc["mean"], dtype=np.float64),
-        components=np.array(doc["components_row_major"], dtype=np.float64),
-        mode_variances=np.array(doc["mode_variances"], dtype=np.float64),
-        variance_fraction_retained=float(doc["variance_fraction_retained"]),
-    )
-    if model.components.shape != (CONFIG_DIM, model.n_components):
-        raise ShapeModelError("model file has inconsistent component shape")
-    return model
+        try:
+            doc = json.load(f)
+        except RecursionError:  # nesting deeper than the parser's stack
+            raise ShapeModelError(f"{path}: model JSON is nested too deeply") from None
+    keys = ("mean", "components_row_major", "mode_variances", "variance_fraction_retained")
+    try:
+        mean, components, variances, fraction = (np.array(doc[k], dtype=np.float64)
+                                                 for k in keys)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ShapeModelError(f"{path}: not a shape model, an object of numeric "
+                              f"{', '.join(keys)} ({type(exc).__name__}: {exc})") from None
+    if components.ndim != 2 or components.shape[0] != CONFIG_DIM or fraction.ndim \
+            or mean.shape != (CONFIG_DIM,) or variances.shape != components.shape[1:]:
+        raise ShapeModelError(f"{path}: model file has inconsistent component shape")
+    if not all(np.isfinite(v).all() for v in (mean, components, variances, fraction)):
+        raise ShapeModelError(f"{path}: model file has non-finite numbers")
+    return ShapeModel(mean, components, variances, float(fraction))

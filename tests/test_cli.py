@@ -488,8 +488,31 @@ class TestStats:
         assert lines[0] == "column,statistic,p_value,significant"
         assert lines[1].startswith("dice,") and lines[1].endswith(",true")
 
+    def test_non_finite_cell_is_invalid(self, tmp_path, capsys):
+        # five finite differences, all negative: ranked with the NaN as a
+        # sixth pair, p fell from 0.0625 to 0.03125 and turned significant
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("subject,x\n" + "".join(f"s{i},{v}\n" for i, v in
+                                              enumerate([1, 2, 3, 4, 5, "nan"])))
+        b.write_text("subject,x\n" + "".join(f"s{i},{2 * i + 2}\n" for i in range(6)))
+        out = tmp_path / "stats.json"
+        capsys.readouterr()
+        assert main(["stats", str(a), str(b), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "'s5'" in err[0] and "nan" in err[0]
+        assert not out.exists()
+
 
 class TestPhantomCommand:
+    @pytest.mark.parametrize("amount", ["inf", "1.5", "nan"])
+    def test_erosion_amount_must_be_whole(self, tmp_path, capsys, amount):
+        out = tmp_path / "eroded.nii"
+        capsys.readouterr()
+        assert main(["phantom", str(out), "--degrade", "erosion", "--amount", amount]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "whole step count" in err[0]
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         a = tmp_path / "a.nii"
         b = tmp_path / "b.nii"
@@ -585,6 +608,43 @@ class TestShapeCommands:
                      "--coeffs", "1,2,3,4", "--out", str(tmp_path / "x.json")])
         assert code == 2
         assert "coefficients" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["apply", "iterate"])
+    @pytest.mark.parametrize("text, reason", [
+        ("{}", "not a shape model"),
+        ("[1, 2]", "not a shape model"),
+        ('{"mean": [0.0], "components_row_major": [1.0, 2.0], "mode_variances": [1.0], '
+         '"variance_fraction_retained": 1.0}', "component shape"),
+        ("[" * 100_000, "nested too deeply"),
+    ], ids=["missing-key", "not-an-object", "1d-components", "deep"])
+    def test_malformed_model_is_invalid(self, work, tmp_path, capsys, command, text, reason):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(text)
+        out = tmp_path / "out.json"
+        argv = {"apply": ["--coeffs", "0.5"],
+                "iterate": ["--target", str(work / "lm" / "p0.json")]}[command]
+        capsys.readouterr()
+        assert main(["shape", command, str(model_path), *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and reason in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["apply", "iterate"])
+    def test_non_finite_model_is_invalid(self, work, tmp_path, capsys, command):
+        model_path = tmp_path / "model.json"
+        lm_files = [str(work / "lm" / f"p{s}.json") for s in (0, 1, 2)]
+        assert main(["shape", "fit", *lm_files, "--selector", "2",
+                     "--out", str(model_path)]) == 0
+        doc = json.loads(model_path.read_text())
+        doc["mean"][5] = math.inf
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        argv = {"apply": ["--coeffs", "0.5"], "iterate": ["--target", lm_files[1]]}[command]
+        capsys.readouterr()
+        assert main(["shape", command, str(model_path), *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "non-finite" in err[0]
+        assert not out.exists()
 
 
 class TestAtomicReports:

@@ -404,6 +404,15 @@ class TestWilcoxonFdr:
         assert np.isnan(rows[2]["p_value"])
         assert rows[2]["significant"] is False
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_non_finite_cell_rejected(self, bad, which):
+        t = self._table()
+        a, b = t.a.copy(), t.b.copy()
+        (a if which == "a" else b)[4, 1] = bad
+        with pytest.raises(MetricError, match=f"table {which} holds {bad}.*'s4'.*'pasd'"):
+            PairedSampleTable(t.subjects, t.columns, a, b)
+
     def test_table_shape_validation(self):
         with pytest.raises(MetricError, match="match"):
             PairedSampleTable(("s1",), ("c1", "c2"), np.zeros((1, 1)),

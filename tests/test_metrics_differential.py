@@ -212,7 +212,7 @@ def test_far_predictions_match(seed, kind, las):
 
 def _brute_nearest(queries, mask, origin, vol):
     """The smallest distance from each query to any mask voxel, by cKDTree's
-    formula over world points converted in one call."""
+    formula over the mask's world points."""
     pts = vol.voxel_to_world((np.argwhere(mask) + origin).astype(np.float64))
     d = queries[:, None, :] - pts[None, :, :]
     return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]

@@ -7,6 +7,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoarefine import (
     NiftiError,
@@ -332,6 +334,57 @@ def test_voxel_world_mapping_by_hand():
     many = vol.voxel_to_world(np.array([[0, 0, 0], [39, 39, 39]], float))
     assert many.shape == (2, 3)
     assert np.allclose(many[0], [-13.65] * 3)
+
+
+def _oblique_affine(angles, shear, spacing, flips, shift):
+    """Rotation x unit upper-triangular shear x signed spacings, then a shift."""
+    lin = np.eye(3)
+    for axis, t in enumerate(angles):
+        c, s = np.cos(t), np.sin(t)
+        a, b = [ax for ax in range(3) if ax != axis]
+        rot = np.eye(3)
+        rot[a, a], rot[a, b], rot[b, a], rot[b, b] = c, -s, s, c
+        lin = lin @ rot
+    upper = np.eye(3)
+    upper[0, 1], upper[0, 2], upper[1, 2] = shear
+    affine = np.eye(4)
+    affine[:3, :3] = lin @ upper @ np.diag(np.where(flips, -1.0, 1.0) * spacing)
+    affine[:3, 3] = shift
+    return affine
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(angles=st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
+       shear=st.tuples(*[st.floats(-0.9, 0.9)] * 3),
+       spacing=st.tuples(*[st.floats(0.3, 3.0)] * 3),
+       flips=st.tuples(*[st.booleans()] * 3),
+       shift=st.tuples(*[st.floats(-200.0, 200.0)] * 3),
+       n=st.integers(2, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_each_row_is_converted_on_its_own(angles, shear, spacing, flips, shift, n, seed):
+    """A row's world (or voxel) coordinates do not depend on the other rows
+    of the call: alone, in the whole batch and in a shuffled sub-batch
+    they are equal under ==."""
+    vol = Volume(np.zeros((2, 2, 2), dtype=np.int16),
+                 _oblique_affine(angles, shear, spacing, flips, shift))
+    rng = np.random.default_rng(seed)
+    pts = np.where(rng.random((n, 1)) < 0.5, rng.integers(0, 300, (n, 3)),
+                   rng.uniform(-300.0, 300.0, (n, 3)))
+    sub = rng.permutation(n)[:rng.integers(1, n + 1)]
+    for convert in (vol.voxel_to_world, vol.world_to_voxel):
+        batch = convert(pts)
+        assert batch.shape == (n, 3)
+        assert np.array_equal(convert(pts[sub]), batch[sub])
+        for row in range(n):
+            assert np.array_equal(convert(pts[row]), batch[row])
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4,), (5, 2)])
+def test_world_mapping_refuses_other_widths(shape):
+    vol = make_volume(np.zeros((2, 2, 2), dtype=np.int16))
+    for convert in (vol.voxel_to_world, vol.world_to_voxel):
+        with pytest.raises(ValueError):
+            convert(np.zeros(shape))
 
 
 def test_singular_affine_rejected():

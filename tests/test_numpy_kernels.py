@@ -118,3 +118,15 @@ def test_erode_6_matches_ndi_binary_erosion(mask, steps, layout):
     assert got.dtype == bool
     assert np.array_equal(got, ndi.binary_erosion(mask, iterations=steps))
     assert np.array_equal(held, mask)  # the input is left as it was
+
+
+@settings(PROPERTY, max_examples=50)
+@given(mask=hnp.arrays(bool, hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=10)),
+       layout=st.sampled_from(LAYOUTS))
+@example(mask=np.ones((10, 10, 10), dtype=bool), layout="C")
+def test_erode_6_stops_once_empty(mask, layout):
+    """Enough steps empty any mask; a million more give the same bytes."""
+    held = _held_as(mask, layout)
+    enough = _erode_6(held, max(mask.shape))
+    assert not enough.any()
+    assert np.array_equal(_erode_6(held, 10**6), enough)

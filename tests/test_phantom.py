@@ -153,3 +153,9 @@ class TestDegrade:
             degrade_phantom(vol, lms, "boundary-noise", 1.5)
         with pytest.raises(PhantomError, match="step count"):
             degrade_phantom(vol, lms, "erosion", 0.5)
+
+    @pytest.mark.parametrize("amount", [0, -1, 1.5, float("inf"), float("-inf"), float("nan")])
+    def test_erosion_amount_is_a_whole_step_count(self, phantom0, amount):
+        vol, lms = phantom0
+        with pytest.raises(PhantomError, match="whole step count"):
+            degrade_phantom(vol, lms, "erosion", amount)

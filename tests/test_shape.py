@@ -256,6 +256,31 @@ class TestSerialization:
             load_model(p)
 
 
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda doc: {}, "not a shape model.*KeyError"),
+        (lambda doc: [1, 2], "not a shape model"),
+        (lambda doc: dict(doc, mode_variances="big"), "not a shape model"),
+        (lambda doc: dict(doc, components_row_major=doc["components_row_major"][0]),
+         "component shape"),
+        (lambda doc: dict(doc, mean=doc["mean"][:-1]), "component shape"),
+        (lambda doc: dict(doc, mode_variances=[float("nan")] * 2), "non-finite"),
+        (lambda doc: dict(doc, variance_fraction_retained=float("inf")), "non-finite"),
+    ], ids=["empty", "list", "string", "1d-components", "short-mean", "nan", "inf"])
+    def test_malformed_file_rejected(self, tmp_path, edit, reason):
+        model = fit_shape_model(_planted_spectrum([4.0, 1.0]), selector=2)
+        p = tmp_path / "model.json"
+        save_model(model, p)
+        p.write_text(json.dumps(edit(json.loads(p.read_text()))))
+        with pytest.raises(ShapeModelError, match=reason):
+            load_model(p)
+
+    def test_deeply_nested_file_rejected(self, tmp_path):
+        p = tmp_path / "model.json"
+        p.write_text("[" * 100_000)
+        with pytest.raises(ShapeModelError, match="nested too deeply"):
+            load_model(p)
+
+
 def test_config_landmark_round_trip(phantom0):
     _, lms = phantom0
     x = config_from_landmarks(lms)
