@@ -181,8 +181,8 @@ def fuse_labels(vol: Volume) -> Volume:
         raise LabelError(f"fuse_labels needs integer labels, got {vol.data.dtype}")
     validate_labels(vol.data, "fine26")
     # the gather takes the LUT's dtype, so the output is int16 with no
-    # int64 temporaries
-    return vol.with_data(FUSE_LUT[vol.data], taxonomy="fused12")
+    # int64 temporaries; the volume takes it without a copy
+    return Volume._own(FUSE_LUT[vol.data], vol.affine, taxonomy="fused12")
 
 
 # ---------------------------------------------------------------------------

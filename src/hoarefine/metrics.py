@@ -457,6 +457,13 @@ def _separation_lines(vol: Volume, slice_axis: int, scan_axis: int,
     first = np.where((mean_a < mean_b)[:, None], b_mask.argmax(axis=1),
                      blk.shape[1] - 1 - b_mask[:, ::-1].argmax(axis=1)) + origin[1]
     both = a_mask.any(axis=1) & b_mask.any(axis=1)  # (slice, row)
+    # world position of every (slice, row)'s first B voxel, in one call:
+    # a row converts the same alone or among others
+    pts = np.empty(first.shape + (3,))
+    pts[..., scan_axis] = first
+    pts[..., slice_axis] = np.arange(origin[0], origin[0] + blk.shape[0])[:, None]
+    pts[..., row_axis] = np.arange(origin[2], origin[2] + blk.shape[2])
+    world = vol.voxel_to_world(pts)[..., scan_axis]
     for s in range(blk.shape[0]):
         index = origin[0] + s
         rows = np.nonzero(both[s])[0]
@@ -470,11 +477,7 @@ def _separation_lines(vol: Volume, slice_axis: int, scan_axis: int,
             yield index, MetricUndefinedError(
                 f"slice {index}: no row contains both labels {labels}")
         else:
-            pts = np.zeros((rows.size, 3), dtype=np.float64)
-            pts[:, scan_axis] = first[s, rows]
-            pts[:, slice_axis] = index
-            pts[:, row_axis] = rows + origin[2]
-            yield index, (rows + origin[2], vol.voxel_to_world(pts)[:, scan_axis])
+            yield index, (rows + origin[2], world[s, rows])
 
 
 def extract_separation_line(vol: Volume, slice_axis: int, slice_index: int,

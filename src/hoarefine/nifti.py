@@ -39,6 +39,7 @@ import contextlib
 import functools
 import gzip
 import os
+import stat
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -77,16 +78,32 @@ class OrientationError(NiftiError):
     """The affine cannot be reduced to a per-axis permutation/flip."""
 
 
-def _is_gzipped(path: Path) -> bool:
-    with open(path, "rb") as f:
-        return f.read(2) == b"\x1f\x8b"
+_READ_CHUNK = 1 << 20  # bytes per read call
+_MAX_INFLATE = 1032  # deflate's largest compression ratio
 
 
-def _read_bytes(path: Path) -> bytes:
-    if _is_gzipped(path):
-        with gzip.open(path, "rb") as f:
-            return f.read()
-    return path.read_bytes()
+def _read_into(f, buf: memoryview) -> int:
+    """Fill ``buf`` from ``f`` one chunk at a time; returns the bytes read,
+    fewer than ``len(buf)`` when the stream ends first."""
+    done = 0
+    while done < len(buf):
+        n = f.readinto(buf[done:done + _READ_CHUNK])
+        if not n:
+            break
+        done += n
+    return done
+
+
+def _skip(f, limit: float) -> int:
+    """Read and drop up to ``limit`` bytes of ``f``; returns how many there were."""
+    scratch = memoryview(bytearray(_READ_CHUNK))
+    done = 0
+    while done < limit:
+        n = f.readinto(scratch[:int(min(_READ_CHUNK, limit - done))])
+        if not n:
+            break
+        done += n
+    return done
 
 
 def _quaternion_to_rotation(b: float, c: float, d: float) -> np.ndarray:
@@ -108,8 +125,9 @@ class Volume:
     """A 3D image with its voxel-to-world affine.
 
     ``data`` is locked read-only so refinement passes cannot mutate a
-    shared input in place; operations return new volumes.  The locked
-    copy keeps the memory order it is given (see ``order``).
+    shared input in place; operations return new volumes.  ``Volume(...)``
+    and ``with_data`` lock a copy, which keeps the memory order it is
+    given (see ``order``), so the caller's array stays the caller's.
     ``taxonomy`` is None for non-label images, otherwise "fine26" or
     "fused12".
     """
@@ -119,17 +137,26 @@ class Volume:
     taxonomy: str | None = None
 
     def __post_init__(self):
-        data = np.asarray(self.data)
+        self._lock(np.array(self.data, order="K"), self.affine)
+
+    @classmethod
+    def _own(cls, data: np.ndarray, affine, taxonomy: str | None = None) -> "Volume":
+        """A volume that takes ``data``, an array the caller has just
+        built and no one else writes to, and locks it without a copy."""
+        vol = object.__new__(cls)
+        object.__setattr__(vol, "taxonomy", taxonomy)
+        vol._lock(data, affine)
+        return vol
+
+    def _lock(self, data: np.ndarray, affine) -> None:
         if data.ndim != 3:
             raise ValueError(f"Volume data must be 3D, got shape {data.shape}")
-        affine = np.asarray(self.affine, dtype=np.float64)
+        affine = np.array(affine, dtype=np.float64)
         if affine.shape != (4, 4):
             raise ValueError(f"affine must be 4x4, got {affine.shape}")
         if abs(np.linalg.det(affine[:3, :3])) <= 1e-12:
             raise ValueError("affine linear part is singular")
-        data = data.copy(order="K")
         data.setflags(write=False)
-        affine = affine.copy()
         affine.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "affine", affine)
@@ -142,10 +169,11 @@ class Volume:
 
     @property
     def order(self) -> str:
-        """Memory order of ``data``: "F" when Fortran-ordered (NIfTI's
-        voxel order), else "C"."""
-        flags = self.data.flags
-        return "F" if flags.f_contiguous and not flags.c_contiguous else "C"
+        """Memory order of ``data``: "F" when the stride magnitudes of the
+        axes longer than one voxel grow along the axes, as in NIfTI's
+        voxel order and its flipped views, else "C"."""
+        s = [abs(st) for st, n in zip(self.data.strides, self.data.shape) if n > 1]
+        return "F" if len(s) > 1 and all(a < b for a, b in zip(s, s[1:])) else "C"
 
     @property
     def spacing(self) -> tuple[float, float, float]:
@@ -164,7 +192,7 @@ class Volume:
         ``label_boxes[v - 1]`` is a tuple of per-axis slices enclosing
         every voxel of value v, or None when v is absent; there is one
         entry per value up to the largest.  Computed on first use and
-        kept, which is safe because ``data`` is a locked copy.
+        kept, which is safe because ``data`` is locked.
         """
         if not self.is_label:
             raise ValueError(f"bounding boxes need integer labels, got {self.data.dtype}")
@@ -267,17 +295,26 @@ def _erode_6(mask: np.ndarray, steps: int = 1) -> np.ndarray:
 def read_volume(path: str | Path) -> Volume:
     """Read a ``.nii`` or ``.nii.gz`` file into a :class:`Volume`.
 
+    The payload is read, or inflated, straight into the volume's array.
     Raises NiftiFormatError for truncated files, bad magic, unsupported
     datatypes, scaled data (scl_slope/scl_inter other than identity), or
     volumes that are not 3D after squeezing trailing singleton dimensions.
     """
     path = Path(path)
     try:
-        raw = _read_bytes(path)
+        with open(path, "rb") as f:
+            if f.peek(2)[:2] == b"\x1f\x8b":  # the gzip magic
+                with gzip.GzipFile(fileobj=f, mode="rb") as gz:
+                    return _read_stream(path, gz)
+            return _read_stream(path, f)
     except OSError as exc:
         raise NiftiError(f"cannot read {path}: {exc}") from exc
     except (EOFError, zlib.error) as exc:  # truncated or corrupt gzip stream
         raise NiftiFormatError(f"{path}: damaged gzip data: {exc}") from exc
+
+
+def _read_stream(path: Path, f) -> Volume:
+    raw = f.read(HDR_SIZE)
     if len(raw) < HDR_SIZE:
         raise NiftiFormatError(f"{path}: file shorter than a NIfTI-1 header")
 
@@ -335,14 +372,26 @@ def read_volume(path: str | Path) -> Volume:
     n_vox = int(np.prod(shape))
     offset = int(vox_offset)
     need = offset + n_vox * dtype.itemsize
-    if len(raw) < need:
+    # the extension bytes up to vox_offset, then the voxels, straight
+    # into the array the volume keeps; a header that claims more than a
+    # regular file can hold (its size, or deflate's ratio times it) gets
+    # no array
+    size = HDR_SIZE + _skip(f, offset - HDR_SIZE)
+    st = os.fstat(f.fileno())
+    room = (st.st_size * (_MAX_INFLATE if isinstance(f, gzip.GzipFile) else 1)
+            if stat.S_ISREG(st.st_mode) else float("inf"))
+    if size == offset and need - size <= room:
+        data = np.empty(shape, dtype=dtype.newbyteorder("="), order="F")
+        size += _read_into(f, memoryview(data.T.reshape(-1).view(np.uint8)))
+    else:
+        size += _skip(f, float("inf"))
+    if size < need:
         raise NiftiFormatError(
-            f"{path}: data block truncated ({len(raw)} bytes, need {need})")
+            f"{path}: data block truncated ({size} bytes, need {need})")
     # bytes past the block mean the header's dims or datatype are not the writer's
-    if len(raw) > need:
-        raise NiftiFormatError(f"{path}: {len(raw) - need} bytes after the data block")
-    data = np.frombuffer(raw, dtype=dtype, count=n_vox, offset=offset)
-    data = data.reshape(shape, order="F")
+    extra = _skip(f, float("inf"))
+    if extra:
+        raise NiftiFormatError(f"{path}: {extra} bytes after the data block")
 
     if sform_code > 0:
         rows = struct.unpack_from(bo + "12f", raw, 280)
@@ -378,8 +427,9 @@ def read_volume(path: str | Path) -> Volume:
 
     # native byte order in memory regardless of file order; the voxels
     # stay in the file's Fortran order
-    data = data.astype(dtype.newbyteorder("="), copy=False)
-    return Volume(data, affine, taxonomy=taxonomy)
+    if not dtype.isnative:
+        data.byteswap(inplace=True)
+    return Volume._own(data, affine, taxonomy=taxonomy)
 
 
 def write_volume(vol: Volume, path: str | Path) -> None:
@@ -530,7 +580,8 @@ def reorient_to_canonical(vol: Volume) -> tuple[Volume, AxisMap]:
 
     Returns the reoriented volume together with the map used, which
     callers apply inversely to restore the original layout.  The affine
-    is rebuilt so world coordinates of each voxel are unchanged.
+    is rebuilt so world coordinates of each voxel are unchanged.  The
+    reoriented data is a view of ``vol.data``, not a copy.
     """
     amap = orientation_map(vol.affine)
     if amap.is_identity:
@@ -553,7 +604,7 @@ def reorient_to_canonical(vol: Volume) -> tuple[Volume, AxisMap]:
     affine = np.eye(4)
     affine[:3, :3] = new_lin
     affine[:3, 3] = trans
-    return Volume(data, affine, taxonomy=vol.taxonomy), amap
+    return Volume._own(data, affine, taxonomy=vol.taxonomy), amap
 
 
 def round_half_away(x) -> np.ndarray:

@@ -47,6 +47,7 @@ class RuleGeometryError(Exception):
 
 
 _NO_BOX = (slice(0, 0),) * 3  # stands in for the box of absent labels
+_PLANE_CHUNK = 1 << 16  # voxels per signed-distance call: bounds its temporaries
 
 _BOOL_SPELLINGS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
                    **dict.fromkeys(("0", "false", "no", "off"), False)}
@@ -71,8 +72,12 @@ class Plane:
         object.__setattr__(self, "normal", normal)
 
     def signed_distance(self, xyz) -> np.ndarray:
-        xyz = np.asarray(xyz, dtype=np.float64)
-        return (xyz - self.point) @ self.normal
+        """(x - p0)*n0 + (y - p1)*n1 + (z - p2)*n2 for each row of ``xyz``,
+        summed left to right with no matrix product, so a row's value
+        depends neither on the other rows nor on the BLAS build."""
+        x, y, z = np.moveaxis(np.asarray(xyz, dtype=np.float64), -1, 0)
+        p, n = self.point, self.normal
+        return (x - p[0]) * n[0] + (y - p[1]) * n[1] + (z - p[2]) * n[2]
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,10 @@ def split_hemispheres(
     hemi = np.zeros(vol12.dims, dtype=np.uint8, order=vol12.order)
     box = vol12.box(BILATERAL_FUSED) or _NO_BOX
     idx = np.nonzero(np.isin(vol12.data[box], list(BILATERAL_FUSED)))
-    s = plane.signed_distance(_world_coords(vol12, idx, box))
+    s = np.empty(idx[0].size)
+    for c in range(0, s.size, _PLANE_CHUNK):
+        part = tuple(a[c:c + _PLANE_CHUNK] for a in idx)
+        s[c:c + _PLANE_CHUNK] = plane.signed_distance(_world_coords(vol12, part, box))
 
     def assign(values, threshold=0.0):
         return np.where(values >= threshold, np.uint8(2), np.uint8(1))
@@ -474,17 +482,21 @@ def refine_full(
     data = can.data
     hemi = split_hemispheres(can, plane, cfg)
     # every foreground voxel starts at its group's hemisphere (or midline)
-    # member; the landmark rules below then move voxels within their group
+    # member; the landmark rules below then move voxels within their
+    # group.  Fine ids fit one byte, so the working partial is uint8.
     fg = can.box(FUSED_LABELS) or _NO_BOX
-    partial = np.zeros(data.shape, dtype=np.int16, order=can.order)
+    partial = np.zeros(data.shape, dtype=np.uint8, order=can.order)
     partial[fg] = PASS_TABLE[hemi[fg], data[fg]]
 
     partial = separate_nacc_putamen(can, lms, hemi, cfg, partial=partial)
     partial = apply_coronal_extents(partial, can, lms, cfg)
     partial = split_vdc(partial, can, lms, hemi, cfg)
     partial = split_lv_ih(partial, can, lms, hemi, cfg)
+    del hemi
 
     if not np.array_equal(partial[fg] != 0, data[fg] != 0):
         raise AssertionError("refinement changed the foreground mask")
 
-    return Volume(amap.invert(partial), vol12.affine, taxonomy="fine26")
+    # the int16 cast is a fresh array, so the volume takes it as it is
+    return Volume._own(amap.invert(partial).astype(np.int16), vol12.affine,
+                       taxonomy="fine26")

@@ -25,6 +25,14 @@ def make_volume(data, spacing=1.0, origin=0.0, taxonomy=None):
     return Volume(data, affine, taxonomy=taxonomy)
 
 
+def to_las(vol):
+    """The same world volume stored with its x axis reversed."""
+    affine = vol.affine.copy()
+    affine[:3, 3] += affine[:3, 0] * (vol.dims[0] - 1)
+    affine[:3, 0] = -affine[:3, 0]
+    return Volume(vol.data[::-1], affine, taxonomy=vol.taxonomy)
+
+
 def resample(vol, dims):
     """Nearest-neighbour resample of an axis-aligned volume centred on the
     world origin (as phantoms are) onto ``dims`` voxels, same field of view."""

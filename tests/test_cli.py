@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from hoarefine import (
     LandmarkSet,
+    NiftiFormatError,
     Volume,
     coronal_slice_index,
     degrade_phantom,
@@ -344,6 +345,23 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(argv) == code
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_gzip_cut_mid_payload_is_one_line(tmp_path, capsys):
+    """A .nii.gz whose stream ends inside the voxels, chunks past the
+    header, is refused by ``fuse`` with one NiftiFormatError line, exit 1."""
+    data = np.random.default_rng(0).integers(0, 27, (128, 128, 128), dtype=np.uint8)
+    gz = tmp_path / "cut.nii.gz"
+    write_volume(Volume(data, np.eye(4), taxonomy="fine26"), gz)
+    raw = gz.read_bytes()
+    gz.write_bytes(raw[:len(raw) * 3 // 4])
+    with pytest.raises(NiftiFormatError, match="damaged gzip data"):
+        read_volume(gz)
+    capsys.readouterr()
+    assert main(["fuse", str(gz), str(tmp_path / "out.nii")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "damaged gzip data" in err[0]
+    assert not (tmp_path / "out.nii").exists()
 
 
 class TestConfigPrecedence:

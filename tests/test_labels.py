@@ -78,8 +78,9 @@ def test_fuse_labels_output_is_int16(dtype):
 
 
 def test_fuse_labels_peak_memory_260():
-    """The traced peak of fuse_labels at 260x311x260 stays under 3x the
-    int16 input: no int64 copy of the volume (that was 8x)."""
+    """The traced peak of fuse_labels at 260x311x260 stays under 1.15x
+    the int16 input: the volume takes the gather's output without a copy
+    (that was 2x) and no int64 copy is made (that was 8x)."""
     import tracemalloc
 
     data = np.zeros((260, 311, 260), dtype=np.int16)
@@ -93,7 +94,7 @@ def test_fuse_labels_peak_memory_260():
     finally:
         tracemalloc.stop()
     assert fused.data[0, 0, :27].tolist() == FUSE_LUT.tolist()
-    assert peak < 3 * vol.data.nbytes, f"peak {peak / 2**20:.0f} MiB"
+    assert peak < 1.15 * vol.data.nbytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_fuse_labels_rejects_fused_and_bad_values():

@@ -23,6 +23,7 @@ from hoarefine import (
     PhantomSpec,
     RefinementConfig,
     Volume,
+    build_midsagittal_plane,
     coronal_slice_index,
     degrade_phantom,
     evaluate_pair,
@@ -30,11 +31,13 @@ from hoarefine import (
     generate_phantom,
     read_volume,
     refine_full,
+    reorient_to_canonical,
+    split_hemispheres,
     write_volume,
 )
 from hoarefine.metrics import N_CLASSES, _confusion
 
-from conftest import make_volume
+from conftest import make_volume, to_las
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -145,13 +148,6 @@ def _fused_input(seed: int):
     return vol, deg, lms
 
 
-def _to_las(vol: Volume) -> Volume:
-    affine = vol.affine.copy()
-    affine[:3, 3] += affine[:3, 0] * (vol.dims[0] - 1)
-    affine[:3, 0] = -affine[:3, 0]
-    return Volume(vol.data[::-1], affine, taxonomy=vol.taxonomy)
-
-
 configs = st.builds(RefinementConfig, slice_adjust=st.booleans(),
                     partial_rules=st.booleans())
 
@@ -162,7 +158,7 @@ configs = st.builds(RefinementConfig, slice_adjust=st.booleans(),
 def test_refine_full_ignores_layout(seed, las, cfg, layout):
     _, vol12, lms = _fused_input(seed)
     if las:
-        vol12 = _to_las(vol12)
+        vol12 = to_las(vol12)
     outcomes = []
     for vol in (vol12, vol12.with_data(_held_as(vol12.data, layout))):
         try:
@@ -187,7 +183,7 @@ def test_fortran_input_gives_fortran_output(las):
     fine, vol12, lms = _fused_input(0)
     fine, vol12 = (v.with_data(np.asfortranarray(v.data)) for v in (fine, vol12))
     if las:
-        fine, vol12 = _to_las(fine), _to_las(vol12)
+        fine, vol12 = to_las(fine), to_las(vol12)
     assert fine.order == vol12.order == "F"
     assert fuse_labels(fine).order == "F"
     assert refine_full(vol12, lms).order == "F"
@@ -255,3 +251,62 @@ def test_refine_commutes_with_stored_orientation(tmp_path, perm, flips):
     write_volume(refine_full(stored, lms), tmp_path / "out.nii.gz")
     write_volume(_stored(canonical, perm, flips), tmp_path / "want.nii.gz")
     assert (tmp_path / "out.nii.gz").read_bytes() == (tmp_path / "want.nii.gz").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# ownership: who copies, who hands over
+
+def test_public_volume_keeps_its_own_copy():
+    arr = np.arange(24, dtype=np.int16).reshape(2, 3, 4)
+    vol = make_volume(arr)
+    again = vol.with_data(arr)
+    arr[...] = 99
+    assert arr.flags.writeable
+    for v in (vol, again):
+        assert v.data.ravel().tolist() == list(range(24))
+
+
+def test_returned_data_is_read_only(tmp_path):
+    fine, vol12, lms = _fused_input(0)
+    write_volume(to_las(vol12), tmp_path / "las.nii.gz")
+    stored = read_volume(tmp_path / "las.nii.gz")
+    canonical, _ = reorient_to_canonical(stored)
+    for vol in (stored, fuse_labels(fine), refine_full(stored, lms), canonical):
+        assert not vol.data.flags.writeable
+        with pytest.raises(ValueError):
+            vol.data[0, 0, 0] = 1
+
+
+def test_canonical_data_is_a_view_in_the_stored_layout():
+    """A LAS volume's canonical data is a flipped view of its stored
+    data, and the hemisphere tags are allocated in that view's layout."""
+    _, vol12, lms = _fused_input(0)
+    stored = to_las(vol12.with_data(np.asfortranarray(vol12.data)))
+    canonical, _ = reorient_to_canonical(stored)
+    assert np.shares_memory(canonical.data, stored.data)
+    assert not canonical.data.flags.f_contiguous
+    assert canonical.order == stored.order == "F"
+    hemi = split_hemispheres(canonical, build_midsagittal_plane(lms))
+    assert hemi.flags.f_contiguous
+
+
+@settings(PROPERTY, max_examples=300)
+@given(orient=st.sampled_from(ORIENTATIONS), base=st.sampled_from("CF"),
+       shape=st.tuples(*[st.integers(1, 5)] * 3))
+def test_order_follows_stride_magnitudes(orient, base, shape):
+    """Over the 48 axis permutations and flips of an F- or C-ordered
+    array, ``order`` is "F" exactly when the stride magnitudes of the
+    axes longer than one voxel grow along the axes; a volume's copy
+    (``Volume(...)``, which keeps that memory order) agrees."""
+    perm, flips = orient
+    view = np.zeros(shape, dtype=np.int16, order=base)
+    view = view[tuple(slice(None, None, -1) if f else slice(None) for f in flips)]
+    view = view.transpose(perm)
+    owned = Volume._own(view, np.eye(4))
+    strides = [abs(st_) for st_, n in zip(view.strides, view.shape) if n > 1]
+    grows = len(strides) > 1 and all(a < b for a, b in zip(strides, strides[1:]))
+    assert owned.order == ("F" if grows else "C")
+    copied = Volume(view, np.eye(4))
+    assert copied.order == owned.order
+    flags = copied.data.flags
+    assert copied.order == ("F" if flags.f_contiguous and not flags.c_contiguous else "C")

@@ -3,6 +3,7 @@
 import json
 import logging
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from hoarefine import (
 
 from hoarefine.metrics import SkippedSide
 
-from conftest import make_volume, resample
+from conftest import make_volume, resample, to_las
 from oracles import brute_dice, brute_pasd, brute_separation_line, brute_wilcoxon
 
 
@@ -487,3 +488,22 @@ def test_evaluate_pair_budget_260():
     elapsed = time.perf_counter() - t0
     assert len(report.rows) > 26
     assert elapsed < 2.5, f"evaluate_pair took {elapsed:.2f} s at {dims}"
+
+
+def test_evaluate_pair_peak_memory_ignores_orientation_260():
+    """A LAS pair is scored on flipped views of its stored data, so its
+    traced peak is within 10 % of the RAS pair's (a canonical copy of
+    each volume made it 9x)."""
+    vol, lms = generate_phantom(3)
+    fused, _ = degrade_phantom(vol, lms, "boundary-noise", 0.05, seed=3)
+    dims = (260, 311, 260)
+    pred, gt = (resample(v, dims) for v in (refine_full(fused, lms), vol))
+    peaks = {}
+    for name, pair in (("RAS", (pred, gt)), ("LAS", (to_las(pred), to_las(gt)))):
+        tracemalloc.start()
+        try:
+            evaluate_pair(*pair, lms)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["LAS"] < 1.1 * peaks["RAS"], {k: v / 2**20 for k, v in peaks.items()}

@@ -32,7 +32,7 @@ from hoarefine import (
 from hoarefine import metrics
 from hoarefine.metrics import _nearest_distances
 
-from conftest import resample
+from conftest import resample, to_las
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30)
 
@@ -69,14 +69,6 @@ def _assert_same(a, b):
         assert a == b
 
 
-def _to_las(vol):
-    """The same world volume stored with its x axis reversed."""
-    affine = vol.affine.copy()
-    affine[:3, 3] += affine[:3, 0] * (vol.dims[0] - 1)
-    affine[:3, 0] = -affine[:3, 0]
-    return Volume(vol.data[::-1], affine, taxonomy=vol.taxonomy)
-
-
 @functools.lru_cache(maxsize=None)
 def _phantom_pair(seed, mode):
     """(refined prediction, reference, landmarks) at the phantom's 96^3."""
@@ -99,7 +91,7 @@ def test_phantom_reports_match(seed, mode, las, dims, dropped):
     pred, gt, lms = _phantom_pair(seed, mode)
     pred, gt = resample(pred, dims), resample(gt, dims)
     if las:
-        pred, gt = _to_las(pred), _to_las(gt)
+        pred, gt = to_las(pred), to_las(gt)
     lms = LandmarkSet({i: lms[i] for i in lms.ids if i not in dropped})
     got = evaluate_pair(pred, gt, lms)
     want = ref.evaluate_pair(pred, gt, lms)
@@ -157,7 +149,7 @@ def test_random_blobs_match(seed, coarse, repeat, noise, spacing, kind, las):
     affine = _grid(kind, np.array(spacing), gt_data.shape)
     gt, pred = Volume(gt_data, affine), Volume(pred_data, affine)
     if las:
-        gt, pred = _to_las(gt), _to_las(pred)
+        gt, pred = to_las(gt), to_las(pred)
     ijk = rng.integers(0, gt_data.shape, size=(len(BOUNDARY_LANDMARKS), 3))
     world = Volume(gt_data, affine).voxel_to_world(ijk.astype(np.float64))
     lms = LandmarkSet({i: world[n] for n, i in enumerate(BOUNDARY_LANDMARKS)
@@ -199,7 +191,7 @@ def _far_pair(seed, kind):
 def test_far_predictions_match(seed, kind, las):
     pred, gt, lms = _far_pair(seed, kind)
     if las:
-        pred, gt = _to_las(pred), _to_las(gt)
+        pred, gt = to_las(pred), to_las(gt)
     got = evaluate_pair(pred, gt, lms)
     assert _rows(got) == _rows(ref.evaluate_pair(pred, gt, lms))
     assert [r.value for r in got.rows if r.metric == "pasd"]

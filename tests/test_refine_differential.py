@@ -30,7 +30,7 @@ from hoarefine import (
     refine_full,
 )
 
-from conftest import make_volume, resample
+from conftest import make_volume, resample, to_las
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -53,14 +53,6 @@ def _assert_same(a, b):
         assert np.array_equal(a, b)
     else:
         assert a == b
-
-
-def _to_las(vol):
-    """The same world volume stored with its x axis reversed."""
-    affine = vol.affine.copy()
-    affine[:3, 3] += affine[:3, 0] * (vol.dims[0] - 1)
-    affine[:3, 0] = -affine[:3, 0]
-    return Volume(vol.data[::-1], affine, taxonomy=vol.taxonomy)
 
 
 @functools.lru_cache(maxsize=None)
@@ -89,7 +81,7 @@ dropped_ids = st.one_of(
 def test_refine_full_matches_reference(seed, mode, las, cfg, dropped):
     vol12, lms = _fused_input(seed, mode)
     if las:
-        vol12 = _to_las(vol12)
+        vol12 = to_las(vol12)
     lms = LandmarkSet({i: lms[i] for i in lms.ids if i not in dropped})
     _assert_same(_outcome(ref.refine_full, vol12, lms, cfg),
                  _outcome(refine_full, vol12, lms, cfg))
@@ -104,7 +96,7 @@ def test_upsampled_phantom_matches_reference(las, slice_adjust):
     big = resample(vol12, (144, 172, 144))
     vol12 = Volume(np.asfortranarray(big.data), big.affine, taxonomy=big.taxonomy)
     if las:
-        vol12 = _to_las(vol12)
+        vol12 = to_las(vol12)
     cfg = RefinementConfig(slice_adjust=slice_adjust)
     _assert_same(_outcome(ref.refine_full, vol12, lms, cfg),
                  _outcome(refine_full, vol12, lms, cfg))
