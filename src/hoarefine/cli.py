@@ -230,8 +230,13 @@ def _run_task(task) -> tuple[int, str, float]:
     return EXIT_OK, "", time.perf_counter() - t0
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+
+
 def _run_batch(tasks, jobs: int):
-    if jobs <= 1 or len(tasks) == 1:
+    if jobs == 1 or len(tasks) == 1:
         return [_run_task(t) for t in tasks]
     import multiprocessing
 
@@ -254,6 +259,7 @@ def _batch_exit(outputs, results, command: str) -> int:
 # subcommands
 
 def cmd_fuse(args) -> int:
+    _check_jobs(args.jobs)
     inputs = _collect_inputs(args.input)
     batch = len(inputs) > 1
     outputs = [_out_path_for(p, args.output, batch) for p in inputs]
@@ -266,6 +272,7 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_refine(args) -> int:
+    _check_jobs(args.jobs)
     cfg = resolve_config(args)
     inputs = _collect_inputs(args.input)
     batch = len(inputs) > 1

@@ -47,7 +47,6 @@ class RuleGeometryError(Exception):
 
 
 _NO_BOX = (slice(0, 0),) * 3  # stands in for the box of absent labels
-_PLANE_CHUNK = 1 << 16  # voxels per signed-distance call: bounds its temporaries
 
 _BOOL_SPELLINGS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
                    **dict.fromkeys(("0", "false", "no", "off"), False)}
@@ -165,39 +164,28 @@ def split_hemispheres(
     cfg = cfg or RefinementConfig()
     hemi = np.zeros(vol12.dims, dtype=np.uint8, order=vol12.order)
     box = vol12.box(BILATERAL_FUSED) or _NO_BOX
-    idx = np.nonzero(np.isin(vol12.data[box], list(BILATERAL_FUSED)))
-    s = np.empty(idx[0].size)
-    for c in range(0, s.size, _PLANE_CHUNK):
-        part = tuple(a[c:c + _PLANE_CHUNK] for a in idx)
-        s[c:c + _PLANE_CHUNK] = plane.signed_distance(_world_coords(vol12, part, box))
-
-    def assign(values, threshold=0.0):
-        return np.where(values >= threshold, np.uint8(2), np.uint8(1))
-
-    if not cfg.slice_adjust:
-        hemi[box][idx] = assign(s)
-        return hemi
-
+    h = vol12.spacing[0]  # lateral shift unit: one voxel width along x
+    shifts = (-2, -1, 0, 1, 2) if cfg.slice_adjust else (0,)
     # Each slice takes the shift d whose tags match the previous
     # non-empty slice's tags at the most (i, k) positions; ties go to the
     # smaller |d|, then to the negative d.  Untagged positions hold 0 in
     # ``prev`` and so never match.
-    h = vol12.spacing[0]  # lateral shift unit: one voxel width along x
-    ii, jj, kk = idx
-    order = np.argsort(jj, kind="stable")
-    js, starts = np.unique(jj[order], return_index=True)
+    data, out, bilateral = vol12.data[box], hemi[box], list(BILATERAL_FUSED)
     prev = None
-    for j, group in zip(js, np.split(order, starts[1:])):
-        ci, ck, si = ii[group], kk[group], s[group]
+    for j in range(data.shape[1]):
+        ci, ck = np.nonzero(np.isin(data[:, j, :], bilateral))
+        if ci.size == 0:
+            continue
+        s = plane.signed_distance(_world_coords(vol12, (ci, np.full_like(ci, j), ck), box))
         best_key, best_tags = None, None
-        for d in (-2, -1, 0, 1, 2):
-            tags = assign(si, d * h)
+        for d in shifts:
+            tags = np.where(s >= d * h, np.uint8(2), np.uint8(1))
             agree = 0 if prev is None else np.count_nonzero(prev[ci, ck] == tags)
             key = (agree, -abs(d), -d)
             if best_key is None or key > best_key:
                 best_key, best_tags = key, tags
-        hemi[box][ci, j, ck] = best_tags
-        prev = hemi[box][:, j, :]
+        prev = out[:, j, :]
+        prev[ci, ck] = best_tags
     return hemi
 
 

@@ -113,6 +113,19 @@ class TestPipeline:
             name = f"p{seed}.nii"
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["fuse", "refine"])
+    def test_jobs_below_one_is_invalid(self, work, tmp_path, capsys, command, jobs):
+        folder = "src" if command == "fuse" else "fused"
+        argv = [command, str(work / folder), str(tmp_path / "out"), "--jobs", jobs]
+        if command == "refine":
+            argv += ["--landmarks", str(work / "lm")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --jobs must be at least 1, got {jobs}"]
+        assert os.listdir(tmp_path) == []  # no output folder, volume or manifest
+
     @pytest.mark.parametrize("command", ["fuse", "refine"])
     def test_manifest_elapsed_is_per_subject(self, work, tmp_path, command):
         src = tmp_path / "in"

@@ -109,14 +109,15 @@ shapes = hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=12)
 @given(shape=shapes, seed=st.integers(0, 2**16), density=st.floats(0.05, 1.0),
        spacing=st.sampled_from((1.0, 0.7, (0.8, 1.3, 1.0))),
        tilt=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
-       offset=st.floats(0.0, 10.0))
-def test_slice_adjust_matches_reference(shape, seed, density, spacing, tilt, offset):
+       offset=st.floats(0.0, 10.0), slice_adjust=st.booleans())
+def test_slice_adjust_matches_reference(shape, seed, density, spacing, tilt, offset,
+                                        slice_adjust):
     rng = np.random.default_rng(seed)
     # bilateral (1) where drawn, else background or a midline label (2)
     data = np.where(rng.random(shape) < density, 1, rng.choice((0, 2), size=shape))
     vol = make_volume(data.astype(np.int16), spacing=spacing)
     plane = Plane(np.array([offset, 0.0, 0.0]), np.array([1.0, *tilt]))
-    cfg = RefinementConfig(slice_adjust=True)
+    cfg = RefinementConfig(slice_adjust=slice_adjust)
     _assert_same(ref.split_hemispheres(vol, plane, cfg),
                  refine_mod.split_hemispheres(vol, plane, cfg))
 
