@@ -147,6 +147,17 @@ def _pass_table() -> np.ndarray:
 PASS_TABLE = _pass_table()
 assert set(HEMI_PAIRS) | set(FALLBACK_PAIRS) == BILATERAL_FUSED
 
+# the coronal rules: fine id ``from`` becomes ``to`` on the coronal slices
+# strictly anterior (True) or posterior (False) of the landmark's slice.
+# (i) and (ii) of a side act on disjoint slices unless #1/#2 is posterior of #7/#8.
+CORONAL_RULES = (  # (from, to, landmark id, anterior?)
+    (10, 6, 1, True), (11, 7, 2, True),      # (i) putamen -> accumbens
+    (6, 10, 7, False), (7, 11, 8, False),    # (ii) accumbens -> putamen
+    (4, 3, 9, True),                         # (iii) third ventricle -> CSF, across groups
+    (25, 23, 11, True), (26, 24, 12, True),  # VDC posterior -> anterior part
+)
+assert all(FUSE_LUT[a] == FUSE_LUT[b] for a, b, *_ in CORONAL_RULES if (a, b) != (4, 3))
+
 
 class LabelError(Exception):
     """Raised for values outside the active taxonomy or misuse of fuse."""
@@ -215,6 +226,7 @@ LANDMARK_PAIRS = ((1, 2), (3, 4), (5, 6), (7, 8), (11, 12), (13, 14))
 
 MIDSAGITTAL_IDS = (10, 15, 16)  # AC, PC, PPF define the dividing plane
 N_LANDMARKS = len(LANDMARKS)
+assert {lm for _, _, lm, _ in CORONAL_RULES} <= set(LANDMARKS)
 
 
 @dataclass(frozen=True)

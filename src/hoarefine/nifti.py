@@ -297,8 +297,8 @@ def read_volume(path: str | Path) -> Volume:
 
     The payload is read, or inflated, straight into the volume's array.
     Raises NiftiFormatError for truncated files, bad magic, unsupported
-    datatypes, scaled data (scl_slope/scl_inter other than identity), or
-    volumes that are not 3D after squeezing trailing singleton dimensions.
+    datatypes, scaled data (scl_slope/scl_inter other than identity), a
+    non-finite or singular affine, or a volume not 3D after squeezing.
     """
     path = Path(path)
     try:
@@ -412,6 +412,8 @@ def _read_stream(path: Path, f) -> Volume:
         affine = np.diag([pixdim[1] or 1.0, pixdim[2] or 1.0, pixdim[3] or 1.0, 1.0])
     if not np.all(np.isfinite(affine)):
         raise NiftiFormatError(f"{path}: affine from the header is not finite")
+    if abs(np.linalg.det(affine[:3, :3])) <= 1e-12:  # Volume's test, as this file's fault
+        raise NiftiFormatError(f"{path}: affine linear part is singular")
 
     intent_name = raw[328:344].rstrip(b"\x00")
     taxonomy = TAXONOMY_FOR_TAG.get(intent_name)

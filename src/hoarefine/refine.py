@@ -7,10 +7,10 @@ each anchored to anatomical point landmarks:
   bilateral structures into left/right instances;
 * the accumbens/putamen complex is divided by a per-slice vertical
   separator interpolated between the two contact landmarks;
-* coronal extent rules truncate the putamen anteriorly (#1/#2), the
-  accumbens posteriorly (#7/#8) and demote third-ventricle voxels
-  anterior of #9 to CSF;
-* the ventral diencephalon is split at the mammillary bodies (#11/#12);
+* the coronal rules of ``labels.CORONAL_RULES`` truncate the putamen
+  anteriorly (#1/#2) and the accumbens posteriorly (#7/#8), demote
+  third-ventricle voxels anterior of #9 to CSF and split the ventral
+  diencephalon at the mammillary bodies (#11/#12);
 * the inferior horn is carved out of the lateral ventricle anterior to
   #13/#14 by a seeded per-slice connected-component chase.
 
@@ -30,7 +30,8 @@ import numpy as np
 
 from .labels import (
     BILATERAL_FUSED,
-    FALLBACK_PAIRS,
+    CORONAL_RULES,
+    FUSE_LUT,
     FUSED_LABELS,
     LANDMARKS,
     PASS_TABLE,
@@ -201,24 +202,22 @@ def _separator_x(x_ant, y_ant, x_post, y_post, ys: np.ndarray) -> np.ndarray:
     return x_post + t * (x_ant - x_post)
 
 
-def _rule_sides(partial, vol12, fused, hemi, lms, cfg, side_landmarks):
+def _rule_sides(vol12, fused, hemi, lms, cfg, side_landmarks):
     """Yield (side, box, mask, landmark ids) for each side a rule splits.
 
     ``mask`` holds the side's voxels in the group's bounding box ``box``;
     the rule reads and writes ``partial[box]``.  Side 0 is left (tag 1),
     side 1 right (tag 2); ``side_landmarks[side]`` holds the ids the
-    side's rule reads.  A non-empty side first gets the group's
-    FALLBACK_PAIRS member, then the rule writes the voxels it moves to
-    the other member.  A side whose landmarks are missing keeps the
-    fallback under partial_rules and raises LabelError otherwise.
+    side's rule reads.  The partial holds the group's fallback member,
+    and a side whose landmarks are missing keeps it under partial_rules
+    and raises LabelError otherwise.
     """
     box = vol12.box((fused,)) or _NO_BOX
     in_group = vol12.data[box] == fused
-    for side, (fallback, ids) in enumerate(zip(FALLBACK_PAIRS[fused], side_landmarks)):
+    for side, ids in enumerate(side_landmarks):
         m = in_group & (hemi[box] == side + 1)
         if not m.any():
             continue
-        partial[box][m] = fallback
         if all(i in lms for i in ids):
             yield side, box, m, ids
         elif not cfg.partial_rules:
@@ -238,13 +237,14 @@ def separate_nacc_putamen(
     world x interpolated between the anterior (#3/#4) and posterior
     (#5/#6) contact landmarks by the slice's y, clamped to the nearer
     landmark outside their span.  Voxels more medial than the separator
-    (|x| < |separator x|) become accumbens, the rest putamen.
+    (|x| < |separator x|) become accumbens, the rest putamen.  Without
+    ``partial``, the stage starts from the PASS_TABLE partial in int16.
     """
     cfg = cfg or RefinementConfig()
-    partial = (np.zeros(vol12.dims, dtype=np.int16, order=vol12.order) if partial is None
+    partial = (PASS_TABLE[hemi, vol12.data] if partial is None
                else partial.copy(order="K"))
     contacts = ((3, 5), (4, 6))  # (anterior, posterior) per side
-    for side, box, m, (ant_id, post_id) in _rule_sides(partial, vol12, 5, hemi, lms, cfg, contacts):
+    for side, box, m, (ant_id, post_id) in _rule_sides(vol12, 5, hemi, lms, cfg, contacts):
         x_ant, y_ant = float(lms[ant_id][0]), float(lms[ant_id][1])
         x_post, y_post = float(lms[post_id][0]), float(lms[post_id][1])
         if not y_ant > y_post:
@@ -262,9 +262,21 @@ def separate_nacc_putamen(
     return partial
 
 
-def _anterior_of(j: int) -> slice:
-    """Coronal slices strictly anterior of slice j."""
-    return slice(max(j + 1, 0), None)  # a negative start would wrap
+def _apply_coronal_rules(partial, vol12, lms, cfg, vdc: bool) -> np.ndarray:
+    """A copy of ``partial`` with the CORONAL_RULES rows of the VDC group
+    (``vdc``) or of the others applied in their group's box.  A row whose
+    landmark is absent is skipped under partial_rules, else LabelError."""
+    partial = partial.copy(order="K")
+    for src, dst, lm_id, anterior in CORONAL_RULES:
+        if (FUSE_LUT[src] == 12) != vdc or (lm_id not in lms and cfg.partial_rules):
+            continue
+        lms.require((lm_id,))  # names it when missing
+        box = vol12.box((FUSE_LUT[src],)) or _NO_BOX
+        j = coronal_slice_index(vol12, lms[lm_id]) - box[1].start  # box-local
+        # the slices strictly beyond j; a negative bound would wrap
+        view = partial[box][:, max(j + 1, 0):] if anterior else partial[box][:, :max(j, 0)]
+        view[view == src] = dst
+    return partial
 
 
 def apply_coronal_extents(
@@ -273,62 +285,35 @@ def apply_coronal_extents(
     lms: LandmarkSet,
     cfg: RefinementConfig | None = None,
 ) -> np.ndarray:
-    """Coronal truncation rules on the partial fine labels.
-
-    (i) putamen strictly anterior of the #1/#2 slice becomes accumbens;
-    (ii) accumbens strictly posterior of the #7/#8 slice becomes
-    putamen; (iii) third-ventricle voxels strictly anterior of the #9
-    slice are demoted to CSF (fine id 3).  The landmark slice itself
-    keeps its label.  Idempotent: a second application changes nothing.
-    """
+    """Coronal truncation rules (i)-(iii), the CORONAL_RULES rows outside
+    the VDC group: putamen strictly anterior of the #1/#2 slice becomes
+    accumbens, accumbens strictly posterior of #7/#8 putamen, and third
+    ventricle strictly anterior of #9 CSF; the landmark slice keeps its
+    label.  Idempotent."""
     cfg = cfg or RefinementConfig()
-    partial = partial.copy(order="K")
-    # (put id, nacc id, anterior landmark, posterior landmark) per side
-    for put_id, nacc_id, lm_ant, lm_post in ((10, 6, 1, 7), (11, 7, 2, 8)):
-        j_ant = coronal_slice_index(vol12, lms[lm_ant]) if lm_ant in lms else None
-        j_post = coronal_slice_index(vol12, lms[lm_post]) if lm_post in lms else None
-        if j_ant is None or j_post is None:
-            if not cfg.partial_rules:
-                lms.require((lm_ant, lm_post))
-        elif j_ant < j_post:
-            raise RuleGeometryError(
-                f"extent landmarks out of order: #{lm_ant} slice {j_ant} is "
-                f"posterior to #{lm_post} slice {j_post}; rules (i)/(ii) conflict")
-        if j_ant is not None:
-            view = partial[:, _anterior_of(j_ant)]
-            view[view == put_id] = nacc_id
-        if j_post is not None:  # slices strictly posterior of j_post
-            view = partial[:, :max(j_post, 0)]
-            view[view == nacc_id] = put_id
-
-    if 9 in lms:
-        ant = _anterior_of(coronal_slice_index(vol12, lms[9]))
-        partial[:, ant][vol12.data[:, ant] == 3] = 3
-    elif not cfg.partial_rules:
-        lms.require((9,))
-    return partial
+    for lm_ant, lm_post in ((1, 7), (2, 8)):  # per side, left first
+        if lm_ant in lms and lm_post in lms:
+            j_ant, j_post = (coronal_slice_index(vol12, lms[i]) for i in (lm_ant, lm_post))
+            if j_ant < j_post:
+                raise RuleGeometryError(
+                    f"extent landmarks out of order: #{lm_ant} slice {j_ant} is "
+                    f"posterior to #{lm_post} slice {j_post}; rules (i)/(ii) conflict")
+        elif not cfg.partial_rules:
+            lms.require((lm_ant, lm_post))
+    return _apply_coronal_rules(partial, vol12, lms, cfg, vdc=False)
 
 
 def split_vdc(
     partial: np.ndarray,
     vol12: Volume,
     lms: LandmarkSet,
-    hemi: np.ndarray,
     cfg: RefinementConfig | None = None,
 ) -> np.ndarray:
-    """Divide fused label 12 at each hemisphere's mammillary body slice.
-
-    Voxels strictly anterior of the #11/#12 slice become the anterior
-    part (23/24); the slice itself and everything posterior become the
-    posterior part (25/26).
-    """
-    cfg = cfg or RefinementConfig()
-    partial = partial.copy(order="K")
-    for side, box, m, (lm_id,) in _rule_sides(partial, vol12, 12, hemi, lms, cfg, ((11,), (12,))):
-        j_mb = coronal_slice_index(vol12, lms[lm_id]) - box[1].start  # box-local
-        ant = _anterior_of(j_mb)
-        partial[box][:, ant][m[:, ant]] = (23, 24)[side]
-    return partial
+    """Divide fused label 12 at each hemisphere's mammillary body slice,
+    the CORONAL_RULES rows of the VDC group: voxels strictly anterior of
+    the #11/#12 slice turn from the posterior part (25/26), where
+    ``refine_full`` starts them, to the anterior part (23/24)."""
+    return _apply_coronal_rules(partial, vol12, lms, cfg or RefinementConfig(), vdc=True)
 
 
 def split_lv_ih(
@@ -350,7 +335,7 @@ def split_lv_ih(
     """
     cfg = cfg or RefinementConfig()
     partial = partial.copy(order="K")
-    for side, box, m, (lm_id,) in _rule_sides(partial, vol12, 1, hemi, lms, cfg, ((13,), (14,))):
+    for side, box, m, (lm_id,) in _rule_sides(vol12, 1, hemi, lms, cfg, ((13,), (14,))):
         j_ih = coronal_slice_index(vol12, lms[lm_id]) - box[1].start  # box-local
         lm_x, _, lm_z = (float(v) for v in lms[lm_id])
         prev_ih = None
@@ -478,7 +463,7 @@ def refine_full(
 
     partial = separate_nacc_putamen(can, lms, hemi, cfg, partial=partial)
     partial = apply_coronal_extents(partial, can, lms, cfg)
-    partial = split_vdc(partial, can, lms, hemi, cfg)
+    partial = split_vdc(partial, can, lms, cfg)
     partial = split_lv_ih(partial, can, lms, hemi, cfg)
     del hemi
 

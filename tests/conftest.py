@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hoarefine import Volume, fuse_labels, generate_phantom, refine_full
+from hoarefine.labels import PASS_TABLE
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +24,12 @@ def make_volume(data, spacing=1.0, origin=0.0, taxonomy=None):
     affine = np.diag([sp[0], sp[1], sp[2], 1.0])
     affine[:3, 3] = np.broadcast_to(np.asarray(origin, dtype=np.float64), 3)
     return Volume(data, affine, taxonomy=taxonomy)
+
+
+def start_partial(vol12, hemi):
+    """The int16 partial that ``refine_full`` hands its landmark rules:
+    each voxel at its fused group's PASS_TABLE member for its tag."""
+    return PASS_TABLE[hemi, vol12.data]
 
 
 def to_las(vol):

@@ -353,3 +353,85 @@ def test_parse_landmarks_json_refuses_unknown_keys(tmp_path_factory, key, value,
     with pytest.raises(LabelError, match=f"unknown .*key {re.escape(repr(key))}") as err:
         parse_landmarks(p)
     assert len(str(err.value).splitlines()) == 1
+
+
+# any JSON value; short texts and keys so that the schema's own keys and
+# names come up among the drawn ones
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["world_mm", "RAS", "id", "xyz", "name", "AC"]) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["id", "xyz", "name", "space"]) | st.text(max_size=3),
+                      inner, max_size=4),
+    max_leaves=12)
+_names = st.sampled_from(sorted(n for n, *_ in LANDMARKS.values()))
+
+
+@st.composite
+def _landmark_docs(draw):
+    """Any JSON value one time in eight; otherwise a landmark file whose
+    fields are each well formed three times in four, else any JSON."""
+    def field(good):
+        return draw(good if draw(st.integers(0, 3)) < 3 else _json)
+
+    if draw(st.integers(0, 7)) == 7:
+        return draw(_json)
+    entries = [{"id": field(st.integers(-1, 17) | st.floats(0, 17)),
+                "xyz": field(st.lists(st.integers() | st.floats(), max_size=4)),
+                **({"name": field(_names)} if draw(st.booleans()) else {})}
+               for _ in range(draw(st.integers(0, 4)))]
+    doc = {"space": field(st.just("world_mm")), "frame": field(st.just("RAS")),
+           "landmarks": field(st.just([field(st.just(e)) for e in entries]))}
+    if draw(st.integers(0, 7)) == 7:
+        doc[draw(st.text(max_size=3))] = draw(_json)
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(doc=_landmark_docs())
+def test_parse_landmarks_json_gives_a_set_or_a_label_error(tmp_path_factory, doc):
+    p = tmp_path_factory.getbasetemp() / "any.json"
+    p.write_text(json.dumps(doc))  # NaN and Infinity included, as json writes them
+    try:
+        lms = parse_landmarks(p)
+    except LabelError:
+        return
+    assert isinstance(lms, LandmarkSet)
+
+
+_csv_fields = st.sampled_from(["10", "3", "0", "17", "1.5", "-2e3", "nan", "inf", "AC",
+                                "", '"', '"1,2"', "\x00"]) | st.text(max_size=4)
+
+
+@st.composite
+def _csv_texts(draw):
+    """A header, then up to four rows, ended by one kind of line end.
+    Header and rows are each well formed three times in four, else any
+    few fields or short text."""
+    def good():
+        return draw(st.integers(0, 3)) < 3
+
+    header = ("id,name,x,y,z" if good() else
+              draw(st.sampled_from(["id,x,y,z", "id,name,x,y,z,x", "x,y,z", ""])
+                   | st.text(max_size=12)))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        if good():
+            lid = draw(st.integers(1, 16))
+            name = draw(st.sampled_from(["", LANDMARKS[lid][0]]) | _names)
+            rows.append(",".join([str(lid), name] + [repr(draw(st.floats())) for _ in "xyz"]))
+        else:
+            rows.append(",".join(draw(st.lists(_csv_fields, max_size=6))))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join([header, *rows])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(text=_csv_texts())
+def test_parse_landmarks_csv_gives_a_set_or_a_label_error(tmp_path_factory, text):
+    p = tmp_path_factory.getbasetemp() / "any.csv"
+    p.write_text(text, encoding="utf-8", newline="")
+    try:
+        lms = parse_landmarks(p)
+    except LabelError:
+        return
+    assert isinstance(lms, LandmarkSet)

@@ -8,7 +8,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hoarefine import (
@@ -322,9 +322,11 @@ def _qform_only(hdr: bytearray) -> None:
     ("affine", lambda h: struct.pack_into("<f", h, 280, float("nan"))),  # srow_x[0]
     ("affine", lambda h: struct.pack_into("<f", h, 324, float("inf"))),  # srow_z[3]
     ("affine", _qform_only),
+    # srow_y all zero: no y axis, so no inverse (a Volume refuses it too)
+    ("affine linear part is singular", lambda h: struct.pack_into("<3f", h, 296, 0, 0, 0)),
 ], ids=["dim1-negative", "dim3-zero", "vox_offset-nan", "vox_offset-inf",
         "vox_offset-0", "vox_offset-348", "vox_offset-351", "vox_offset-352.9",
-        "sform-nan", "sform-inf", "qform-nan"])
+        "sform-nan", "sform-inf", "qform-nan", "sform-singular"])
 def test_rejects_invalid_header_fields(tmp_path, field, patch):
     hdr = bytearray(_hand_built_header("<", bytes(range(64))))
     patch(hdr)
@@ -332,6 +334,26 @@ def test_rejects_invalid_header_fields(tmp_path, field, patch):
     p.write_bytes(bytes(hdr))
     with pytest.raises(NiftiFormatError, match=field):
         read_volume(p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(gz=st.booleans(),
+       edits=st.lists(st.tuples(st.integers(0, 351), st.integers(0, 255)),
+                      min_size=1, max_size=4))
+@example(gz=False, edits=[(i, 0) for i in range(280, 284)])  # srow_x[0] = 0: singular
+def test_mutated_header_reads_or_is_a_format_error(tmp_path_factory, gz, edits):
+    """1-4 bytes of a valid header (and its extension bytes) set to any
+    value: the file reads as a volume or raises NiftiFormatError."""
+    raw = bytearray(_hand_built_header("<", bytes(range(64))))
+    for pos, value in edits:
+        raw[pos] = value
+    p = tmp_path_factory.mktemp("mutated") / ("v.nii.gz" if gz else "v.nii")
+    p.write_bytes(gzip.compress(bytes(raw)) if gz else bytes(raw))
+    try:
+        vol = read_volume(p)
+    except NiftiFormatError:
+        return
+    assert isinstance(vol, Volume)
 
 
 @pytest.mark.parametrize("entry", [(0, 0), (1, 3)], ids=["spacing", "origin"])

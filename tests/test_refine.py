@@ -31,7 +31,7 @@ from hoarefine.refine import (
     split_vdc,
 )
 
-from conftest import make_volume, resample, to_las
+from conftest import make_volume, resample, start_partial, to_las
 
 
 def _plane_lms(ac, pc, ppf):
@@ -158,7 +158,9 @@ class TestNaccPutamenSeparator:
 
 
 class TestCoronalExtents:
-    def _vol(self, data_value=0):
+    # a partial as refine_full builds it: putamen or accumbens ids on
+    # fused label 5, the third ventricle (4) on fused label 3
+    def _vol(self, data_value=5):
         return make_volume(np.full((1, 6, 1), data_value, dtype=np.int16))
 
     def _lms(self, j1=3.0, j7=1.0, j9=99.0):
@@ -181,9 +183,9 @@ class TestCoronalExtents:
         assert out[0, :, 0].tolist() == [10, 6, 6, 6, 6, 6]
 
     def test_third_ventricle_exclusion(self):
-        partial = np.zeros((1, 6, 1), dtype=np.int16)
+        partial = np.full((1, 6, 1), 4, dtype=np.int16)
         out = apply_coronal_extents(partial, self._vol(3), self._lms(j9=2.0))
-        assert out[0, :, 0].tolist() == [0, 0, 0, 3, 3, 3]  # CSF, slice 2 kept
+        assert out[0, :, 0].tolist() == [4, 4, 4, 3, 3, 3]  # CSF, slice 2 kept
 
     def test_crossed_extent_landmarks_rejected(self):
         partial = np.zeros((1, 6, 1), dtype=np.int16)
@@ -200,23 +202,27 @@ class TestCoronalExtents:
 
 
 class TestSplitVdc:
-    def _setup(self, hemi_tag, lm_id):
+    def _setup(self, hemi_tag):
         vol = make_volume(np.full((1, 5, 1), 12, dtype=np.int16))
-        hemi = np.full(vol.dims, hemi_tag, dtype=np.uint8)
-        lms = LandmarkSet({lm_id: np.array([0.0, 2.0, 0.0])})
-        return vol, hemi, lms
+        partial = start_partial(vol, np.full(vol.dims, hemi_tag, dtype=np.uint8))
+        lms = LandmarkSet({11: np.array([0.0, 2.0, 0.0]), 12: np.array([0.0, 2.0, 0.0])})
+        return partial, vol, lms
 
     def test_right_split_strict(self):
-        vol, hemi, lms = self._setup(2, 12)
-        out = split_vdc(np.zeros(vol.dims, dtype=np.int16), vol, lms, hemi)
+        partial, vol, lms = self._setup(2)
+        out = split_vdc(partial, vol, lms)
         assert out[0, :, 0].tolist() == [26, 26, 26, 24, 24]
 
+    def test_left_split_strict(self):
+        partial, vol, lms = self._setup(1)
+        out = split_vdc(partial, vol, lms)
+        assert out[0, :, 0].tolist() == [25, 25, 25, 23, 23]
+
     def test_fallback_posterior(self):
-        vol, hemi, _ = self._setup(2, 12)
+        partial, vol, _ = self._setup(2)
         with pytest.raises(LabelError):
-            split_vdc(np.zeros(vol.dims, dtype=np.int16), vol, LandmarkSet({}), hemi)
-        out = split_vdc(np.zeros(vol.dims, dtype=np.int16), vol, LandmarkSet({}),
-                        hemi, RefinementConfig(partial_rules=True))
+            split_vdc(partial, vol, LandmarkSet({}))
+        out = split_vdc(partial, vol, LandmarkSet({}), RefinementConfig(partial_rules=True))
         assert np.all(out == 26)
 
 
@@ -228,7 +234,7 @@ class TestSplitLvIh:
         vol = make_volume(data)
         hemi = np.where(data == 1, 1, 0).astype(np.uint8)
         lms = LandmarkSet({13: np.array(lm)})
-        out = split_lv_ih(np.zeros(data.shape, dtype=np.int16), vol, lms, hemi)
+        out = split_lv_ih(start_partial(vol, hemi), vol, lms, hemi)
         return {(i, j, k): int(out[i, j, k]) for i, j, k in voxels}
 
     def test_chain_growth_and_gap(self):
@@ -258,8 +264,7 @@ class TestSplitLvIh:
         data[2, 4, 1] = 1
         vol = make_volume(data)
         hemi = np.where(data == 1, 2, 0).astype(np.uint8)
-        out = split_lv_ih(np.zeros(data.shape, dtype=np.int16), vol,
-                          LandmarkSet({}), hemi,
+        out = split_lv_ih(start_partial(vol, hemi), vol, LandmarkSet({}), hemi,
                           RefinementConfig(partial_rules=True))
         assert out[2, 4, 1] == 2
 
@@ -317,11 +322,11 @@ class TestRefineFull:
         can, _ = reorient_to_canonical(fuse_labels(vol))
         hemi = split_hemispheres(can, build_midsagittal_plane(lms))
         assert separate_nacc_putamen(can, lms, hemi).dtype == np.int16
-        partial = separate_nacc_putamen(can, lms, hemi,
-                                        partial=np.zeros(can.dims, dtype=np.uint8))
+        partial = separate_nacc_putamen(
+            can, lms, hemi, partial=start_partial(can, hemi).astype(np.uint8))
         assert partial.dtype == np.uint8
         partial = apply_coronal_extents(partial, can, lms)
-        partial = split_vdc(partial, can, lms, hemi)
+        partial = split_vdc(partial, can, lms)
         assert split_lv_ih(partial, can, lms, hemi).dtype == np.uint8
 
 

@@ -30,7 +30,7 @@ from hoarefine import (
     refine_full,
 )
 
-from conftest import make_volume, resample, to_las
+from conftest import make_volume, resample, start_partial, to_las
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -132,7 +132,9 @@ def test_split_lv_ih_matches_reference(shape, seed, density, partial_rules, pres
     hemi = np.where(lv, rng.integers(1, 3, size=shape), 0).astype(np.uint8)
     vol = make_volume(data)
     lms = LandmarkSet({i: rng.uniform(-1.0, np.array(shape)) for i in present})
+    # other voxels hold anything; the ventricle starts at its side's member
     partial = rng.integers(0, 27, size=shape).astype(np.int16)
+    partial[lv] = start_partial(vol, hemi)[lv]
     cfg = RefinementConfig(partial_rules=partial_rules)
     _assert_same(_outcome(ref.split_lv_ih, partial, vol, lms, hemi, cfg),
                  _outcome(refine_mod.split_lv_ih, partial, vol, lms, hemi, cfg))
