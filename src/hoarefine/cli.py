@@ -84,7 +84,7 @@ def _load_config_file(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise NiftiError(f"cannot read config {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"config {path} must hold a JSON object")
@@ -335,6 +335,8 @@ def _read_stats_table(path: str) -> tuple[list[str], list[str], np.ndarray]:
             rows = list(_csv.reader(fh))
     except OSError as exc:
         raise NiftiError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MetricError(f"{path}: not UTF-8 text: {exc}") from exc
     if not rows or rows[0][:1] != ["subject"]:
         raise MetricError(f"{path}: expected a header starting with 'subject'")
     columns = rows[0][1:]

@@ -146,6 +146,9 @@ def _pass_table() -> np.ndarray:
 # member.  Unused entries (bilateral untagged, midline tagged) are 0.
 PASS_TABLE = _pass_table()
 assert set(HEMI_PAIRS) | set(FALLBACK_PAIRS) == BILATERAL_FUSED
+# the landmark rules read a voxel's side from its fine id alone
+assert all(FINE_HEMISPHERE[int(PASS_TABLE[tag, f])] == side
+           for f in BILATERAL_FUSED for tag, side in ((1, "left"), (2, "right")))
 
 # the coronal rules: fine id ``from`` becomes ``to`` on the coronal slices
 # strictly anterior (True) or posterior (False) of the landmark's slice.
@@ -309,11 +312,13 @@ def parse_landmarks(path: str | Path) -> LandmarkSet:
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             try:
                 doc = json.load(f)
             except RecursionError:  # nesting deeper than the parser's stack
                 raise LabelError(f"{path}: landmark JSON is nested too deeply") from None
+            except ValueError as exc:  # not UTF-8 text, or not JSON
+                raise LabelError(f"{path}: not a UTF-8 JSON file: {exc}") from None
         if (not isinstance(doc, dict) or doc.get("space") != "world_mm"
                 or doc.get("frame") != "RAS"):
             raise LabelError(
@@ -348,7 +353,7 @@ def parse_landmarks(path: str | Path) -> LandmarkSet:
         return LandmarkSet(points)
     if path.suffix.lower() == ".csv":
         points = {}
-        with open(path, newline="") as f:
+        with open(path, newline="", encoding="utf-8") as f:
             reader = csv.DictReader(f)
             try:
                 header = reader.fieldnames or []
@@ -371,6 +376,8 @@ def parse_landmarks(path: str | Path) -> LandmarkSet:
                     points[lid] = xyz
             except csv.Error as exc:  # an oversized field; a NUL before Python 3.11
                 raise LabelError(f"{path}: {exc}") from None
+            except UnicodeDecodeError as exc:
+                raise LabelError(f"{path}: landmark file is not UTF-8 text: {exc}") from None
         if not points:
             raise LabelError(f"{path}: no landmark rows")
         return LandmarkSet(points)

@@ -31,6 +31,7 @@ import numpy as np
 from .labels import (
     BILATERAL_FUSED,
     CORONAL_RULES,
+    FALLBACK_PAIRS,
     FUSE_LUT,
     FUSED_LABELS,
     LANDMARKS,
@@ -202,20 +203,19 @@ def _separator_x(x_ant, y_ant, x_post, y_post, ys: np.ndarray) -> np.ndarray:
     return x_post + t * (x_ant - x_post)
 
 
-def _rule_sides(vol12, fused, hemi, lms, cfg, side_landmarks):
+def _rule_sides(partial, vol12, fused, lms, cfg, side_landmarks):
     """Yield (side, box, mask, landmark ids) for each side a rule splits.
 
-    ``mask`` holds the side's voxels in the group's bounding box ``box``;
-    the rule reads and writes ``partial[box]``.  Side 0 is left (tag 1),
-    side 1 right (tag 2); ``side_landmarks[side]`` holds the ids the
-    side's rule reads.  The partial holds the group's fallback member,
-    and a side whose landmarks are missing keeps it under partial_rules
+    ``mask`` holds the voxels of ``partial[box]`` at the side's fallback
+    member of group ``fused``, ``box`` being the group's bounding box;
+    the rule writes ``partial[box]``.  Side 0 is left, side 1 right;
+    ``side_landmarks[side]`` holds the ids the side's rule reads.  A side
+    whose landmarks are missing keeps the fallback under partial_rules
     and raises LabelError otherwise.
     """
     box = vol12.box((fused,)) or _NO_BOX
-    in_group = vol12.data[box] == fused
     for side, ids in enumerate(side_landmarks):
-        m = in_group & (hemi[box] == side + 1)
+        m = partial[box] == FALLBACK_PAIRS[fused][side]
         if not m.any():
             continue
         if all(i in lms for i in ids):
@@ -227,9 +227,9 @@ def _rule_sides(vol12, fused, hemi, lms, cfg, side_landmarks):
 def separate_nacc_putamen(
     vol12: Volume,
     lms: LandmarkSet,
-    hemi: np.ndarray,
     cfg: RefinementConfig | None = None,
-    partial: np.ndarray | None = None,
+    *,
+    partial: np.ndarray,
 ) -> np.ndarray:
     """Assign fused label 5 voxels to accumbens (6/7) or putamen (10/11).
 
@@ -237,14 +237,13 @@ def separate_nacc_putamen(
     world x interpolated between the anterior (#3/#4) and posterior
     (#5/#6) contact landmarks by the slice's y, clamped to the nearer
     landmark outside their span.  Voxels more medial than the separator
-    (|x| < |separator x|) become accumbens, the rest putamen.  Without
-    ``partial``, the stage starts from the PASS_TABLE partial in int16.
+    (|x| < |separator x|) become accumbens, the rest putamen.  Each side
+    reads its voxels from ``partial``, where they hold putamen (10/11).
     """
     cfg = cfg or RefinementConfig()
-    partial = (PASS_TABLE[hemi, vol12.data] if partial is None
-               else partial.copy(order="K"))
+    partial = partial.copy(order="K")
     contacts = ((3, 5), (4, 6))  # (anterior, posterior) per side
-    for side, box, m, (ant_id, post_id) in _rule_sides(vol12, 5, hemi, lms, cfg, contacts):
+    for side, box, m, (ant_id, post_id) in _rule_sides(partial, vol12, 5, lms, cfg, contacts):
         x_ant, y_ant = float(lms[ant_id][0]), float(lms[ant_id][1])
         x_post, y_post = float(lms[post_id][0]), float(lms[post_id][1])
         if not y_ant > y_post:
@@ -320,12 +319,11 @@ def split_lv_ih(
     partial: np.ndarray,
     vol12: Volume,
     lms: LandmarkSet,
-    hemi: np.ndarray,
     cfg: RefinementConfig | None = None,
 ) -> np.ndarray:
     """Separate the inferior horn (17/18) from the lateral ventricle (1/2).
 
-    Per hemisphere, fused label 1 voxels at or posterior to the #13/#14
+    Per hemisphere, ventricle voxels (1/2) at or posterior to the #13/#14
     slice stay lateral ventricle.  Anterior slices are partitioned into
     2D 4-connected components; the horn is grown slice by slice as the
     inferior-most component 26-adjacent to the horn voxels of the
@@ -335,7 +333,7 @@ def split_lv_ih(
     """
     cfg = cfg or RefinementConfig()
     partial = partial.copy(order="K")
-    for side, box, m, (lm_id,) in _rule_sides(vol12, 1, hemi, lms, cfg, ((13,), (14,))):
+    for side, box, m, (lm_id,) in _rule_sides(partial, vol12, 1, lms, cfg, ((13,), (14,))):
         j_ih = coronal_slice_index(vol12, lms[lm_id]) - box[1].start  # box-local
         lm_x, _, lm_z = (float(v) for v in lms[lm_id])
         prev_ih = None
@@ -460,12 +458,12 @@ def refine_full(
     fg = can.box(FUSED_LABELS) or _NO_BOX
     partial = np.zeros(data.shape, dtype=np.uint8, order=can.order)
     partial[fg] = PASS_TABLE[hemi[fg], data[fg]]
+    del hemi  # each voxel's side is in its fine id from here on
 
-    partial = separate_nacc_putamen(can, lms, hemi, cfg, partial=partial)
+    partial = separate_nacc_putamen(can, lms, cfg, partial=partial)
     partial = apply_coronal_extents(partial, can, lms, cfg)
     partial = split_vdc(partial, can, lms, cfg)
-    partial = split_lv_ih(partial, can, lms, hemi, cfg)
-    del hemi
+    partial = split_lv_ih(partial, can, lms, cfg)
 
     if not np.array_equal(partial[fg] != 0, data[fg] != 0):
         raise AssertionError("refinement changed the foreground mask")

@@ -289,11 +289,13 @@ def save_model(model: ShapeModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> ShapeModel:
     """Read a model written by ``save_model``; ShapeModelError when the
     file does not hold one."""
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         try:
             doc = json.load(f)
         except RecursionError:  # nesting deeper than the parser's stack
             raise ShapeModelError(f"{path}: model JSON is nested too deeply") from None
+        except ValueError as exc:  # not UTF-8 text, or not JSON
+            raise ShapeModelError(f"{path}: not a UTF-8 JSON file: {exc}") from None
     keys = ("mean", "components_row_major", "mode_variances", "variance_fraction_retained")
     try:
         mean, components, variances, fraction = (np.array(doc[k], dtype=np.float64)

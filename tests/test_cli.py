@@ -254,6 +254,18 @@ class TestRoundtrip:
         assert "collinear" in capsys.readouterr().err
 
 
+# text inputs that are not UTF-8, or not JSON where JSON is due
+_BAD_TEXT = {
+    "landmarks.json-not-utf8": b'\xff{"space": "world_mm"}',
+    "landmarks.csv-not-utf8": b"id,name,x,y,z\n10,A\xff,1,2,3\n",
+    "config.json-not-utf8": b'{"slice_adjust": "\xff"}',
+    "table.csv-not-utf8": b"subject,dice\ns\xff,0.5\n",
+    "model.json-not-utf8": b"\xff",
+    "landmarks.json-not-json": b'{"space": "world_mm", "landmarks": [}',
+    "model.json-not-json": b"{",
+}
+
+
 class TestExitCodes:
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         assert main(["fuse", str(tmp_path / "nope.nii"),
@@ -300,12 +312,27 @@ class TestExitCodes:
         ("evaluate", "landmark-without-id", 2),
         ("refine", "landmark-file-key-units", 2),
         ("evaluate", "landmark-entry-key-xyz_mm", 2),
+        ("refine", "landmarks.json-not-utf8", 2),
+        ("evaluate", "landmarks.csv-not-utf8", 2),
+        ("refine", "config.json-not-utf8", 2),
+        ("stats", "table.csv-not-utf8", 2),
+        ("shape", "model.json-not-utf8", 2),
+        ("refine", "landmarks.json-not-json", 2),
+        ("shape", "model.json-not-json", 2),
     ])
     def test_malformed_input_is_one_line(self, work, tmp_path, capsys,
                                          command, defect, code):
         vol = work / ("fused" if command == "refine" else "src") / "p0.nii"
         lm = work / "lm" / "p0.json"
-        if defect == "truncated-gz":
+        extra, bad = [], None
+        if defect in _BAD_TEXT:  # the line names the bad file
+            bad = tmp_path / defect.split("-")[0]
+            bad.write_bytes(_BAD_TEXT[defect])
+            if bad.stem == "landmarks":
+                lm = bad
+            elif bad.name == "config.json":
+                extra = ["--config", str(bad)]
+        elif defect == "truncated-gz":
             gz = tmp_path / "in.nii.gz"
             write_volume(read_volume(vol), gz)
             raw = gz.read_bytes()
@@ -354,10 +381,15 @@ class TestExitCodes:
         argv = {"fuse": ["fuse", str(vol), out],
                 "refine": ["refine", str(vol), out, "--landmarks", str(lm)],
                 "evaluate": ["evaluate", str(vol), str(vol),
-                             "--landmarks", str(lm)]}[command]
+                             "--landmarks", str(lm)],
+                "stats": ["stats", str(bad), str(bad), "--out", out],
+                "shape": ["shape", "apply", str(bad), "--out", out]}[command]
         capsys.readouterr()
-        assert main(argv) == code
-        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert main(argv + extra) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        if bad is not None:
+            assert str(bad) in err[0]
 
 
 def test_gzip_cut_mid_payload_is_one_line(tmp_path, capsys):

@@ -132,21 +132,30 @@ def test_split_lv_ih_matches_reference(shape, seed, density, partial_rules, pres
     hemi = np.where(lv, rng.integers(1, 3, size=shape), 0).astype(np.uint8)
     vol = make_volume(data)
     lms = LandmarkSet({i: rng.uniform(-1.0, np.array(shape)) for i in present})
-    # other voxels hold anything; the ventricle starts at its side's member
-    partial = rng.integers(0, 27, size=shape).astype(np.int16)
-    partial[lv] = start_partial(vol, hemi)[lv]
+    # the ventricle starts at its side's member, fused 5 at any of its members
+    partial = start_partial(vol, hemi)
+    partial[data == 5] = rng.choice((6, 7, 10, 11), size=np.count_nonzero(data == 5))
     cfg = RefinementConfig(partial_rules=partial_rules)
     _assert_same(_outcome(ref.split_lv_ih, partial, vol, lms, hemi, cfg),
-                 _outcome(refine_mod.split_lv_ih, partial, vol, lms, hemi, cfg))
+                 _outcome(refine_mod.split_lv_ih, partial, vol, lms, cfg))
 
 
 def test_refine_full_calls_each_stage_once(monkeypatch, phantom0):
-    # external tracing wraps these module attributes by name
+    # external tracing wraps these module attributes by name and counts a
+    # rule stage's moves by diffing its input partial (separate_nacc_putamen's
+    # ``partial`` keyword, the others' first argument) against its output
     calls = Counter()
     for name in STAGES:
         def counted(*args, _name=name, _fn=getattr(refine_mod, name), **kwargs):
             calls[_name] += 1
-            return _fn(*args, **kwargs)
+            if _name == "split_hemispheres":
+                return _fn(*args, **kwargs)
+            partial = kwargs["partial"] if _name == "separate_nacc_putamen" else args[0]
+            before = partial.copy()
+            out = _fn(*args, **kwargs)
+            assert not np.shares_memory(out, partial), _name
+            assert np.array_equal(partial, before), _name
+            return out
         monkeypatch.setattr(refine_mod, name, counted)
     vol, lms = phantom0
     refine_full(fuse_labels(vol), lms)
