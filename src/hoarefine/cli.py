@@ -332,7 +332,7 @@ def _read_stats_table(path: str) -> tuple[list[str], list[str], np.ndarray]:
     import csv as _csv
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(_csv.reader(fh))
+            rows = [r for r in _csv.reader(fh) if r]  # blank lines, as csv.DictReader
     except OSError as exc:
         raise NiftiError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -342,6 +342,8 @@ def _read_stats_table(path: str) -> tuple[list[str], list[str], np.ndarray]:
     columns = rows[0][1:]
     if not columns:
         raise MetricError(f"{path}: no metric columns")
+    if len(rows) == 1:
+        raise MetricError(f"{path}: no subject rows")
     subjects = [r[0] for r in rows[1:]]
     try:
         values = np.array([[float(v) for v in r[1:]] for r in rows[1:]],
@@ -416,7 +418,10 @@ def cmd_shape_apply(args) -> int:
     model = load_model(args.model)
     b = np.zeros(model.n_components, dtype=np.float64)
     if args.coeffs:
-        vals = [float(v) for v in args.coeffs.split(",") if v.strip()]
+        fields = args.coeffs.split(",")
+        if not all(v.strip() for v in fields):  # would shift later values a mode down
+            raise ShapeModelError(f"--coeffs {args.coeffs!r} has an empty field")
+        vals = [float(v) for v in fields]
         if len(vals) > model.n_components:
             raise ShapeModelError(
                 f"{len(vals)} coefficients for {model.n_components} modes")

@@ -26,6 +26,7 @@ import csv
 import io
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,11 +81,18 @@ def _confusion(pred: Volume, gt: Volume) -> np.ndarray:
     p, g = _fine_data(pred, "predicted"), _fine_data(gt, "reference")
     if pred.order == "F":  # slab along the last axis, contiguous slabs
         p, g = p.T, g.T
+    mixed = pred.order != gt.order
+    if mixed:  # slab along the middle axis: contiguous runs in either order
+        p, g = p.swapaxes(0, 1), g.swapaxes(0, 1)
     counts = np.zeros(N_CLASSES * N_CLASSES, dtype=np.int64)
     step = max(1, _SLAB_VOXELS // max(1, p[0].size))
     for i in range(0, p.shape[0], step):
         pair = p[i:i + step] * np.int16(N_CLASSES)  # at least int16: no uint8 wrap
-        pair += g[i:i + step]
+        part = g[i:i + step]
+        if mixed:  # gt's slab in pred's layout first: one strided pass, in cache
+            part = np.empty_like(pair, dtype=g.dtype)
+            part[...] = g[i:i + step]
+        pair += part
         counts += np.bincount(pair.ravel(order="K"), minlength=counts.size)
     return counts.reshape(N_CLASSES, N_CLASSES)
 
@@ -545,12 +553,51 @@ def wilcoxon_signed_rank(a, b) -> tuple[float, float]:
     var -= float(np.sum(tie_counts**3 - tie_counts)) / 48.0
     if var <= 0:
         raise MetricUndefinedError("zero variance after tie correction")
-    # imported here: scipy.stats is most of a cold import and only this
-    # branch needs it; math.erfc differs from norm.sf in the last bits
-    from scipy.stats import norm
-
     z = (w_plus - mu) / np.sqrt(var)
-    return w_plus, float(2.0 * norm.sf(abs(z)))
+    return w_plus, 2.0 * _norm_sf(float(abs(z)))
+
+
+# Cephes ndtr's rational approximations of erf (T/U, |x| < 1) and erfc
+# (P/Q, |x| < 8; R/S beyond); a leading 1.0 stands for Cephes' p1evl
+_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+      7.00332514112805075473E3, 5.55923013010394962768E4)
+_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2,
+      4.59432382970980127987E3, 2.26290000613890934246E4, 4.92673942608635921086E4)
+_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+      4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+      9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+      9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+      1.65666309194161350182E3, 5.57535340817727675546E2)
+_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+      6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+      1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_MAXLOG = 7.09782712893383996843E2  # log(DBL_MAX): exp(-x*x) underflows beyond
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _polevl(x: float, coeffs) -> float:
+    """Horner evaluation, highest power first."""
+    y = 0.0
+    for c in coeffs:
+        y = y * x + c
+    return y
+
+
+def _norm_sf(z: float) -> float:
+    """Upper tail of the standard normal for z >= 0, bit for bit scipy's
+    ``norm.sf``: a port of the Cephes ``ndtr(-z)`` it runs, which is
+    ``0.5 * erfc(z / sqrt(2))`` by the tables above.  ``math.erfc``
+    differs from it in the last bits for most z."""
+    x = z * _SQRT1_2
+    if x < 1.0:  # erfc = 1 - erf; ndtr's 0.5 - erf/2 below 1/sqrt(2) rounds the same
+        t = x * x
+        return 0.5 * (1.0 - x * _polevl(t, _T) / _polevl(t, _U))
+    if x * x > _MAXLOG:
+        return 0.0
+    p, q = (_P, _Q) if x < 8.0 else (_R, _S)
+    return 0.5 * (math.exp(-x * x) * _polevl(x, p) / _polevl(x, q))
 
 
 def benjamini_hochberg(pvalues, q: float) -> np.ndarray:

@@ -260,6 +260,7 @@ _BAD_TEXT = {
     "landmarks.csv-not-utf8": b"id,name,x,y,z\n10,A\xff,1,2,3\n",
     "config.json-not-utf8": b'{"slice_adjust": "\xff"}',
     "table.csv-not-utf8": b"subject,dice\ns\xff,0.5\n",
+    "table.csv-header-only": b"subject,dice\n",
     "model.json-not-utf8": b"\xff",
     "landmarks.json-not-json": b'{"space": "world_mm", "landmarks": [}',
     "model.json-not-json": b"{",
@@ -316,6 +317,7 @@ class TestExitCodes:
         ("evaluate", "landmarks.csv-not-utf8", 2),
         ("refine", "config.json-not-utf8", 2),
         ("stats", "table.csv-not-utf8", 2),
+        ("stats", "table.csv-header-only", 2),
         ("shape", "model.json-not-utf8", 2),
         ("refine", "landmarks.json-not-json", 2),
         ("shape", "model.json-not-json", 2),
@@ -534,6 +536,12 @@ class TestStats:
         assert main(["stats", str(a), str(a)]) == 2
         assert "header" in capsys.readouterr().err
 
+    def test_header_only_has_no_subject_rows(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text("subject,dice\n\n")
+        assert main(["stats", str(a), str(a)]) == 2
+        assert f"{a}: no subject rows" in capsys.readouterr().err
+
     @pytest.mark.parametrize("q", ["5", "nan", "-1", "0"])
     def test_q_outside_unit_interval_is_invalid(self, tmp_path, capsys, q):
         a, b = self._tables(tmp_path)
@@ -543,6 +551,17 @@ class TestStats:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "FDR level" in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_blank_lines_are_skipped(self, tmp_path, capsys, fmt):
+        a, b = self._tables(tmp_path)
+        capsys.readouterr()
+        assert main(["stats", str(a), str(b), "--format", fmt]) == 0
+        want = capsys.readouterr().out
+        a.write_text(a.read_text() + "\n")
+        b.write_text(b.read_text().replace("\n", "\n\n", 1))
+        assert main(["stats", str(a), str(b), "--format", fmt]) == 0
+        assert capsys.readouterr().out == want
 
     def test_csv_output(self, tmp_path, capsys):
         a, b = self._tables(tmp_path)
@@ -671,6 +690,21 @@ class TestShapeCommands:
                      "--coeffs", "1,2,3,4", "--out", str(tmp_path / "x.json")])
         assert code == 2
         assert "coefficients" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coeffs", ["0,,1", ",1", "1,", " "])
+    def test_empty_coefficient_is_invalid(self, work, tmp_path, capsys, coeffs):
+        # "0,,1" once read as "0,1": the 1 moved to the second mode
+        lm_files = [str(work / "lm" / f"p{s}.json") for s in (0, 1, 2)]
+        model_path = tmp_path / "model.json"
+        assert main(["shape", "fit", *lm_files, "--selector", "3",
+                     "--out", str(model_path)]) == 0
+        out = tmp_path / "x.json"
+        capsys.readouterr()
+        assert main(["shape", "apply", str(model_path), "--coeffs", coeffs,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--coeffs" in err[0] and "empty field" in err[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["apply", "iterate"])
     @pytest.mark.parametrize("text, reason", [

@@ -1,11 +1,10 @@
 """Cold start: what a fresh interpreter loads for each step of the pipeline.
 
-The import loads numpy only, and so does every step of the pipeline:
-refinement's label boxes and inferior-horn components, PASD's
-nearest-voxel search and the phantom's erosion are numpy code.  Only
-``stats`` loads scipy.stats, for a column with more than 20 nonzero
-pairs.  Each check runs in a new interpreter, because this test process
-has long since imported them all.
+The import loads numpy only, and so does every command: refinement's
+label boxes and inferior-horn components, PASD's nearest-voxel search,
+the phantom's erosion and the normal tail of ``stats`` above 20 nonzero
+pairs are numpy or plain Python code.  Each check runs in a new
+interpreter, because this test process has long since imported scipy.
 """
 
 import json
@@ -122,6 +121,22 @@ def test_cli_phantom_erosion_loads_neither(tmp_path):
         tmp_path)
     assert loaded == _only()
     assert (tmp_path / "eroded.landmarks.json").exists()
+
+
+def test_cli_stats_loads_neither(tmp_path):
+    # 25 rows take the normal approximation, 8 the exact permutation null
+    for n in (25, 8):
+        for name, shift in ((f"a{n}.csv", 0.05), (f"b{n}.csv", 0.0)):
+            (tmp_path / name).write_text("subject,dice,pasd\n" + "".join(
+                f"s{i},{0.8 + 0.01 * i + shift},{0.5 + 0.02 * i * i - shift}\n"
+                for i in range(n)))
+    loaded = _loaded_after(
+        "from hoarefine.cli import main\n"
+        "for n in (25, 8):\n"
+        "    assert main(['stats', f'a{n}.csv', f'b{n}.csv', '--out', f's{n}.json']) == 0\n",
+        tmp_path)
+    assert loaded == _only()
+    assert json.loads((tmp_path / "s25.json").read_text())["results"][0]["significant"]
 
 
 @pytest.mark.parametrize("ties", [False, True])

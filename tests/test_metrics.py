@@ -2,12 +2,15 @@
 
 import json
 import logging
+import math
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoarefine import (
     DEFAULT_BOUNDARIES,
@@ -32,7 +35,7 @@ from hoarefine import (
     wilcoxon_signed_rank,
 )
 
-from hoarefine.metrics import SkippedSide
+from hoarefine.metrics import _MAXLOG, SkippedSide, _norm_sf
 
 from conftest import make_volume, resample, to_las
 from oracles import brute_dice, brute_pasd, brute_separation_line, brute_wilcoxon
@@ -358,6 +361,35 @@ class TestWilcoxon:
         res = scipy.stats.wilcoxon(a, b, zero_method="wilcox",
                                    correction=False, method="approx")
         assert p == pytest.approx(res.pvalue, abs=1e-12)
+
+
+# where Cephes' ndtr(-z) changes branch, in z: its 1/sqrt(2) split
+# (z = 1, which _norm_sf folds into one formula), erfc's x = 1 and x = 8
+# switches, and exp(-x*x)'s underflow (x*x = MAXLOG)
+SF_EDGES = (0.0, 1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * _MAXLOG))
+
+
+def _around(z: float, steps: int = 3) -> list[float]:
+    """``z`` and its ``steps`` nearest floats on either side, clipped at 0."""
+    out = [z]
+    for direction in (-math.inf, math.inf):
+        v = z
+        for _ in range(steps):
+            v = math.nextafter(v, direction)
+            out.append(v)
+    return [v for v in out if v >= 0.0]
+
+
+@pytest.mark.parametrize("z", [v for edge in SF_EDGES for v in _around(edge)]
+                         + [37.52, 37.55, 37.6, 37.65, 37.67])  # subnormal results
+def test_norm_sf_equals_scipy_at_branch_edges(z):
+    assert _norm_sf(z) == scipy.stats.norm.sf(z)
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(z=st.floats(0.0, 40.0))
+def test_norm_sf_is_scipy_bit_for_bit(z):
+    assert _norm_sf(z) == scipy.stats.norm.sf(z)
 
 
 class TestBenjaminiHochberg:
