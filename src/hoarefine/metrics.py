@@ -81,18 +81,11 @@ def _confusion(pred: Volume, gt: Volume) -> np.ndarray:
     p, g = _fine_data(pred, "predicted"), _fine_data(gt, "reference")
     if pred.order == "F":  # slab along the last axis, contiguous slabs
         p, g = p.T, g.T
-    mixed = pred.order != gt.order
-    if mixed:  # slab along the middle axis: contiguous runs in either order
-        p, g = p.swapaxes(0, 1), g.swapaxes(0, 1)
     counts = np.zeros(N_CLASSES * N_CLASSES, dtype=np.int64)
     step = max(1, _SLAB_VOXELS // max(1, p[0].size))
     for i in range(0, p.shape[0], step):
         pair = p[i:i + step] * np.int16(N_CLASSES)  # at least int16: no uint8 wrap
-        part = g[i:i + step]
-        if mixed:  # gt's slab in pred's layout first: one strided pass, in cache
-            part = np.empty_like(pair, dtype=g.dtype)
-            part[...] = g[i:i + step]
-        pair += part
+        pair += g[i:i + step]
         counts += np.bincount(pair.ravel(order="K"), minlength=counts.size)
     return counts.reshape(N_CLASSES, N_CLASSES)
 
@@ -577,14 +570,6 @@ _MAXLOG = 7.09782712893383996843E2  # log(DBL_MAX): exp(-x*x) underflows beyond
 _SQRT1_2 = math.sqrt(0.5)
 
 
-def _polevl(x: float, coeffs) -> float:
-    """Horner evaluation, highest power first."""
-    y = 0.0
-    for c in coeffs:
-        y = y * x + c
-    return y
-
-
 def _norm_sf(z: float) -> float:
     """Upper tail of the standard normal for z >= 0, bit for bit scipy's
     ``norm.sf``: a port of the Cephes ``ndtr(-z)`` it runs, which is
@@ -593,11 +578,11 @@ def _norm_sf(z: float) -> float:
     x = z * _SQRT1_2
     if x < 1.0:  # erfc = 1 - erf; ndtr's 0.5 - erf/2 below 1/sqrt(2) rounds the same
         t = x * x
-        return 0.5 * (1.0 - x * _polevl(t, _T) / _polevl(t, _U))
+        return float(0.5 * (1.0 - x * np.polyval(_T, t) / np.polyval(_U, t)))
     if x * x > _MAXLOG:
         return 0.0
     p, q = (_P, _Q) if x < 8.0 else (_R, _S)
-    return 0.5 * (math.exp(-x * x) * _polevl(x, p) / _polevl(x, q))
+    return float(0.5 * (math.exp(-x * x) * np.polyval(p, x) / np.polyval(q, x)))
 
 
 def benjamini_hochberg(pvalues, q: float) -> np.ndarray:
