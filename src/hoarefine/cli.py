@@ -23,6 +23,8 @@ import json
 import os
 import sys
 import time
+from collections import Counter
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +82,7 @@ def _fail(msg: str) -> None:
 
 def _load_config_file(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise NiftiError(f"cannot read config {path}: {exc}") from exc
@@ -331,7 +333,7 @@ def _json_num(v: float):
 def _read_stats_table(path: str) -> tuple[list[str], list[str], np.ndarray]:
     import csv as _csv
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [r for r in _csv.reader(fh) if r]  # blank lines, as csv.DictReader
     except OSError as exc:
         raise NiftiError(f"cannot read {path}: {exc}") from exc
@@ -345,6 +347,10 @@ def _read_stats_table(path: str) -> tuple[list[str], list[str], np.ndarray]:
     if len(rows) == 1:
         raise MetricError(f"{path}: no subject rows")
     subjects = [r[0] for r in rows[1:]]
+    counts = Counter(subjects)
+    repeated = next((s for s in subjects if counts[s] > 1), None)
+    if repeated is not None:  # pairing by row would pair one subject twice
+        raise MetricError(f"{path}: subject {repeated!r} appears twice")
     try:
         values = np.array([[float(v) for v in r[1:]] for r in rows[1:]],
                           dtype=np.float64)
@@ -362,9 +368,12 @@ def cmd_stats(args) -> int:
     if cols_a != cols_b:
         raise MetricError(
             f"column mismatch: {cols_a} vs {cols_b}")
-    if subj_a != subj_b:
-        raise MetricError(
-            f"subject mismatch between tables: {sorted(set(subj_a) ^ set(subj_b))}")
+    if subj_a != subj_b:  # rows pair by position: name the first that differs
+        i, names = next((i, pair) for i, pair in enumerate(zip_longest(subj_a, subj_b))
+                        if pair[0] != pair[1])
+        a_name, b_name = ("no row" if n is None else repr(n) for n in names)
+        raise MetricError(f"subject mismatch between tables: subject row {i + 1} is "
+                          f"{a_name} in {args.table_a} and {b_name} in {args.table_b}")
     table = PairedSampleTable(tuple(subj_a), tuple(cols_a), a, b)
     results = wilcoxon_fdr(table, q=args.q)
     if args.format == "csv":

@@ -312,7 +312,7 @@ def parse_landmarks(path: str | Path) -> LandmarkSet:
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             try:
                 doc = json.load(f)
             except RecursionError:  # nesting deeper than the parser's stack
@@ -353,7 +353,7 @@ def parse_landmarks(path: str | Path) -> LandmarkSet:
         return LandmarkSet(points)
     if path.suffix.lower() == ".csv":
         points = {}
-        with open(path, newline="", encoding="utf-8") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             reader = csv.DictReader(f)
             try:
                 header = reader.fieldnames or []

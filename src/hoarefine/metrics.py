@@ -49,25 +49,23 @@ class MetricUndefinedError(MetricError):
 # ---------------------------------------------------------------------------
 # overlap
 
+def _label_map(vol: Volume, role: str) -> Volume:
+    """``vol``, checked to be a fine label map: integer labels, and no
+    fused12 tag, whose ids 1..12 lie in the fine range but name other
+    structures.  An untagged map counts as fine."""
+    if not vol.is_label:
+        raise MetricError(f"{role} volume needs integer labels, got {vol.data.dtype}")
+    if vol.taxonomy == "fused12":
+        raise MetricError(f"{role} volume is tagged fused12; evaluation needs "
+                          "fine 26-label maps")
+    return vol
+
+
 # confusion-matrix side: background plus the fine labels 1..26
 N_CLASSES = max(FINE_NAME) + 1
 # voxels per bincount slab; bincount copies its input to intp, so this
 # bounds that copy to 8 MB instead of 8 bytes per voxel of the volume
 _SLAB_VOXELS = 1 << 20
-
-
-def _fine_data(vol: Volume, role: str) -> np.ndarray:
-    """The volume's labels, checked to lie in the fine taxonomy 0..26."""
-    data = np.asarray(vol.data)
-    if not vol.is_label:
-        raise MetricError(f"{role} volume needs integer labels, got {data.dtype}")
-    if data.size:
-        lo, hi = int(data.min()), int(data.max())
-        if lo < 0 or hi >= N_CLASSES:
-            raise MetricError(
-                f"{role} volume holds label {lo if lo < 0 else hi}, outside "
-                f"the fine taxonomy 0..{N_CLASSES - 1}")
-    return data
 
 
 def _confusion(pred: Volume, gt: Volume) -> np.ndarray:
@@ -78,7 +76,14 @@ def _confusion(pred: Volume, gt: Volume) -> np.ndarray:
     """
     if pred.dims != gt.dims:
         raise MetricError(f"dimension mismatch: {pred.dims} vs {gt.dims}")
-    p, g = _fine_data(pred, "predicted"), _fine_data(gt, "reference")
+    for vol, role in ((pred, "predicted"), (gt, "reference")):
+        data = _label_map(vol, role).data
+        lo, hi = (int(data.min()), int(data.max())) if data.size else (0, 0)
+        if lo < 0 or hi >= N_CLASSES:
+            raise MetricError(
+                f"{role} volume holds label {lo if lo < 0 else hi}, outside "
+                f"the fine taxonomy 0..{N_CLASSES - 1}")
+    p, g = pred.data, gt.data
     if pred.order == "F":  # slab along the last axis, contiguous slabs
         p, g = p.T, g.T
     counts = np.zeros(N_CLASSES * N_CLASSES, dtype=np.int64)
@@ -166,18 +171,11 @@ def _surface_slice(vol: Volume, bside: BoundarySide, surface: str,
     return j + 1 if surface == "posterior" else j - 1
 
 
-def _label_map(vol: Volume) -> Volume:
-    """``vol``, checked to hold integer labels."""
-    if not vol.is_label:
-        raise MetricError(f"metrics need integer labels, got {vol.data.dtype}")
-    return vol
-
-
 def _surface_voxels(can: Volume, spec: BoundarySpec, lms: LandmarkSet,
                     side: str) -> np.ndarray:
     """(N, 3) canonical voxel indices of the label's protocol boundary face."""
     bside = spec.side(side)
-    data = can.data
+    data = _label_map(can, "reference").data
     if spec.surface in ("anterior", "posterior"):
         j = _surface_slice(can, bside, spec.surface, lms)
         if not 0 <= j < data.shape[1]:
@@ -193,7 +191,7 @@ def _surface_voxels(can: Volume, spec: BoundarySpec, lms: LandmarkSet,
 
     if spec.surface != "lateral":
         raise MetricError(f"unknown surface kind {spec.surface!r}")
-    box, nbox = _label_map(can).box((bside.label,)), can.box((bside.neighbor,))
+    box, nbox = can.box((bside.label,)), can.box((bside.neighbor,))
     if box is None or nbox is None:
         raise MetricUndefinedError(
             f"{spec.region} (lateral, {side}): no slice contains both label "
@@ -380,12 +378,13 @@ def pasd(gt: Volume, pred: Volume, spec: BoundarySpec, lms: LandmarkSet,
     predicted voxel.
     """
     _check_aligned(pred, gt)
+    _label_map(pred, "predicted")
     bside = spec.side(side)
     gt_can, _ = reorient_to_canonical(gt)
     vox = _surface_voxels(gt_can, spec, lms, side)
     surface = gt_can.voxel_to_world(vox.astype(np.float64))
     can, _ = reorient_to_canonical(pred)
-    box = _label_map(can).box((bside.label,))
+    box = can.box((bside.label,))
     if box is not None and side_filter and spec.surface in ("anterior", "posterior") \
             and bside.landmark in lms:
         j_lm = coronal_slice_index(can, lms[bside.landmark])
@@ -433,12 +432,16 @@ def line_metrics(pred_y, gt_y) -> tuple[float, float]:
 
 def _separation_lines(vol: Volume, slice_axis: int, scan_axis: int,
                       labels: tuple[int, int], box):
-    """Separation line of each slice along slice_axis that box spans.
+    """Separation lines of the slices along slice_axis that box spans.
 
-    box is a tuple of per-axis slices with explicit bounds that holds
-    every voxel of both labels.  Yields (slice index, (rows, world mm
-    positions)) for a slice with a line and (slice index,
-    MetricUndefinedError) for one without.
+    box is a tuple of per-axis slices with explicit bounds.  Returns
+    (line, world, mean_a, mean_b).  line and world are indexed (slice,
+    row) from the box's corner: line marks the rows of each slice's line,
+    and world holds each row's world mm position of the first B voxel
+    met scanning from the A side.  mean_a and mean_b are the labels' mean
+    scan positions per slice, NaN where the slice lacks the label.  A
+    slice whose labels have distinct means has a line through every row
+    that holds both.
     """
     a_id, b_id = labels
     row_axis = 3 - slice_axis - scan_axis
@@ -447,38 +450,23 @@ def _separation_lines(vol: Volume, slice_axis: int, scan_axis: int,
     blk = np.asarray(vol.data)[box].transpose(order)  # (slice, scan, row)
     a_mask = blk == a_id
     b_mask = blk == b_id
-    n_a = a_mask.sum(axis=(1, 2))
-    n_b = b_mask.sum(axis=(1, 2))
     # the labels' mean scan positions: exact integer sums, one division
     scan_idx = np.arange(origin[1], origin[1] + blk.shape[1])
     with np.errstate(invalid="ignore", divide="ignore"):
-        mean_a = a_mask.sum(axis=2) @ scan_idx / n_a
-        mean_b = b_mask.sum(axis=2) @ scan_idx / n_b
+        mean_a = a_mask.sum(axis=2) @ scan_idx / a_mask.sum(axis=(1, 2))
+        mean_b = b_mask.sum(axis=2) @ scan_idx / b_mask.sum(axis=(1, 2))
     # first B voxel met scanning from the A side
     first = np.where((mean_a < mean_b)[:, None], b_mask.argmax(axis=1),
                      blk.shape[1] - 1 - b_mask[:, ::-1].argmax(axis=1)) + origin[1]
-    both = a_mask.any(axis=1) & b_mask.any(axis=1)  # (slice, row)
+    # a slice lacking a label has no row holding both
+    line = a_mask.any(axis=1) & b_mask.any(axis=1) & (mean_a != mean_b)[:, None]
     # world position of every (slice, row)'s first B voxel, in one call:
     # a row converts the same alone or among others
     pts = np.empty(first.shape + (3,))
     pts[..., scan_axis] = first
     pts[..., slice_axis] = np.arange(origin[0], origin[0] + blk.shape[0])[:, None]
     pts[..., row_axis] = np.arange(origin[2], origin[2] + blk.shape[2])
-    world = vol.voxel_to_world(pts)[..., scan_axis]
-    for s in range(blk.shape[0]):
-        index = origin[0] + s
-        rows = np.nonzero(both[s])[0]
-        if n_a[s] == 0 or n_b[s] == 0:
-            missing = a_id if n_a[s] == 0 else b_id
-            yield index, MetricUndefinedError(f"slice {index} lacks label {missing}")
-        elif mean_a[s] == mean_b[s]:
-            yield index, MetricUndefinedError(
-                "labels interleave symmetrically; no scan side")
-        elif rows.size == 0:
-            yield index, MetricUndefinedError(
-                f"slice {index}: no row contains both labels {labels}")
-        else:
-            yield index, (rows + origin[2], world[s, rows])
+    return line, vol.voxel_to_world(pts)[..., scan_axis], mean_a, mean_b
 
 
 def extract_separation_line(vol: Volume, slice_axis: int, slice_index: int,
@@ -498,10 +486,18 @@ def extract_separation_line(vol: Volume, slice_axis: int, slice_index: int,
         raise MetricError(f"slice {slice_index} outside axis {slice_axis}")
     box = [slice(0, n) for n in vol.dims]
     box[slice_axis] = slice(slice_index, slice_index + 1)
-    _, line = next(_separation_lines(vol, slice_axis, scan_axis, labels, tuple(box)))
-    if isinstance(line, MetricUndefinedError):
-        raise line
-    return line
+    line, world, mean_a, mean_b = _separation_lines(vol, slice_axis, scan_axis, labels,
+                                                    tuple(box))
+    for mean, label in zip((mean_a, mean_b), labels):
+        if np.isnan(mean[0]):
+            raise MetricUndefinedError(f"slice {slice_index} lacks label {label}")
+    if mean_a[0] == mean_b[0]:
+        raise MetricUndefinedError("labels interleave symmetrically; no scan side")
+    rows = np.flatnonzero(line[0])
+    if rows.size == 0:
+        raise MetricUndefinedError(
+            f"slice {slice_index}: no row contains both labels {labels}")
+    return rows, world[0, rows]
 
 
 # ---------------------------------------------------------------------------
@@ -768,17 +764,6 @@ def evaluate_pair(pred26: Volume, gt26: Volume, lms: LandmarkSet,
     return report
 
 
-def _lines_by_slice(vol, slice_axis, scan_axis, pair) -> dict:
-    """{slice index: (rows, world positions)} of every slice with a line."""
-    # a slice without both labels yields an error and is left out
-    box = vol.box(pair)
-    if box is None:
-        return {}
-    return {s: line for s, line
-            in _separation_lines(vol, slice_axis, scan_axis, pair, box)
-            if not isinstance(line, MetricUndefinedError)}
-
-
 def _line_metrics_for_boundary(pred_can, gt_can, spec, bside):
     """Mean per-slice (MAE, sigma_y) for one boundary side, or None.
 
@@ -796,16 +781,19 @@ def _line_metrics_for_boundary(pred_can, gt_can, spec, bside):
     else:
         slice_axis, scan_axis = 1, 0
         pair = (bside.label, bside.neighbor)
-    pred_lines = _lines_by_slice(pred_can, slice_axis, scan_axis, pair)
-    gt_lines = _lines_by_slice(gt_can, slice_axis, scan_axis, pair)
+    box_p, box_g = pred_can.box(pair), gt_can.box(pair)
+    if box_p is None or box_g is None:
+        return None
+    # one box for both volumes, so that their (slice, row) cells line up
+    box = tuple(slice(min(p.start, g.start), max(p.stop, g.stop))
+                for p, g in zip(box_p, box_g))
+    line_p, ys_p, _, _ = _separation_lines(pred_can, slice_axis, scan_axis, pair, box)
+    line_g, ys_g, _, _ = _separation_lines(gt_can, slice_axis, scan_axis, pair, box)
+    common = line_p & line_g
     maes, sigmas = [], []
-    for s in sorted(pred_lines.keys() & gt_lines.keys()):
-        rows_p, ys_p = pred_lines[s]
-        rows_g, ys_g = gt_lines[s]
-        common, ip, ig = np.intersect1d(rows_p, rows_g, return_indices=True)
-        if common.size == 0:
-            continue
-        mae, sigma = line_metrics(ys_p[ip], ys_g[ig])
+    for s in np.flatnonzero(common.any(axis=1)):
+        # one slice at a time: np.mean's pairwise sums over the row order
+        mae, sigma = line_metrics(ys_p[s, common[s]], ys_g[s, common[s]])
         maes.append(mae)
         sigmas.append(sigma)
     if not maes:

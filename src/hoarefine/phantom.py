@@ -18,7 +18,7 @@ jittered landmarks, label noise along boundaries, or eroded labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,16 +38,10 @@ class PhantomError(Exception):
 class PhantomSpec:
     seed: int = 0
     spacing: float = 0.7
-    # test hook: replace named boxes or force rule-breaking paint jobs;
-    # generation then fails its self-checks instead of lying
-    overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.spacing > 0:
             raise PhantomError("spacing must be positive")
-        unknown = set(self.overrides) - {"boxes", "force_put_cap"}
-        if unknown:
-            raise PhantomError(f"unknown override keys: {sorted(unknown)}")
 
 
 def _mirror(box):
@@ -148,7 +142,6 @@ def generate_phantom(spec: PhantomSpec | int = 0) -> tuple[Volume, LandmarkSet]:
         boxes[name + "_l"] = _mirror(boxes[name + "_r"])
     boxes["limb_l"] = _mirror((64, 70, left["j13"] - 4, left["j13"], 16, 70))
     boxes["ih_l"] = _mirror((64, 70, left["j13"] + 1, 58, 16, 24))
-    boxes.update(spec.overrides.get("boxes", {}))
     boxes = {name: _shift(box, g) for name, box in boxes.items()}
 
     data = np.zeros((N, N, N), dtype=np.int16)
@@ -171,10 +164,6 @@ def generate_phantom(spec: PhantomSpec | int = 0) -> tuple[Volume, LandmarkSet]:
         j_mb = params["j_mb"] + g[1]
         _fill(data, (i0, i1, j0, j_mb, k0, k1), ids[1], name + " posterior")
         _fill(data, (i0, i1, j_mb + 1, j1, k0, k1), ids[0], name + " anterior")
-
-    if spec.overrides.get("force_put_cap"):
-        i0, i1, _, j1, k0, k1 = boxes["blob_r"]
-        data[i0:i1 + 1, j1 - 1:j1 + 1, k0:k1 + 1] = 11
 
     vol = Volume(data, affine, taxonomy="fine26")
     _check_phantom(vol, lms, sp, c)

@@ -289,7 +289,7 @@ def save_model(model: ShapeModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> ShapeModel:
     """Read a model written by ``save_model``; ShapeModelError when the
     file does not hold one."""
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         try:
             doc = json.load(f)
         except RecursionError:  # nesting deeper than the parser's stack

@@ -205,6 +205,19 @@ class TestEvaluate:
         assert len(err.splitlines()) == 1
         assert f"label {label}" in err
 
+    @pytest.mark.parametrize("role", ["predicted", "reference"])
+    def test_fused_volume_is_invalid(self, work, capsys, role):
+        # fused ids 1..12 lie in the fine range 0..26 but name other structures
+        fused, fine = str(work / "fused" / "p0.nii"), str(work / "src" / "p0.nii")
+        pred, gt = (fused, fine) if role == "predicted" else (fine, fused)
+        capsys.readouterr()
+        code = main(["evaluate", pred, gt, "--landmarks", str(work / "lm" / "p0.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and f"{role} volume is tagged fused12" in err[0]
+
     def test_skipped_sides_in_json(self, work, tmp_path, capsys):
         doc = json.loads((work / "lm" / "p0.json").read_text())
         doc["landmarks"] = [e for e in doc["landmarks"] if e["id"] != 9]
@@ -530,6 +543,38 @@ class TestStats:
         assert main(["stats", str(a), str(b)]) == 2
         assert "subject mismatch" in capsys.readouterr().err
 
+    def test_reordered_subjects_name_first_difference(self, tmp_path, capsys):
+        a, b = self._tables(tmp_path)
+        lines = b.read_text().splitlines()
+        lines[1], lines[2] = lines[2], lines[1]  # same subjects, s1 before s0
+        b.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["stats", str(a), str(b)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: subject mismatch between tables: subject row 1 is "
+                       f"'s0' in {a} and 's1' in {b}"]
+
+    def test_missing_subject_row_is_named(self, tmp_path, capsys):
+        a, b = self._tables(tmp_path)
+        b.write_text("\n".join(b.read_text().splitlines()[:-1]) + "\n")
+        capsys.readouterr()
+        assert main(["stats", str(a), str(b)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].endswith(f"subject row 12 is 's11' in {a} and no row in {b}")
+
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_repeated_subject_is_invalid(self, tmp_path, capsys, which):
+        a, b = self._tables(tmp_path)
+        path = a if which == "a" else b
+        path.write_text(path.read_text().replace("s2,", "s1,", 1))
+        out = tmp_path / "stats.json"
+        capsys.readouterr()
+        assert main(["stats", str(a), str(b), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {path}: subject 's1' appears twice"]
+        assert not out.exists()
+
     def test_header_required(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         a.write_text("name,dice\ns0,0.5\n")
@@ -583,6 +628,48 @@ class TestStats:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "'s5'" in err[0] and "nan" in err[0]
         assert not out.exists()
+
+
+class TestByteOrderMark:
+    """A text input that starts with a UTF-8 byte-order mark, as Excel
+    writes CSV, reads the same as the file without one."""
+
+    @pytest.mark.parametrize("kind", ["landmarks-csv", "landmarks-json", "config",
+                                      "stats", "model"])
+    def test_same_result_with_bom(self, work, tmp_path, capsys, kind):
+        lm = work / "lm" / "p0.json"
+        out = tmp_path / "out.json"
+        if kind in ("landmarks-csv", "landmarks-json"):
+            path = tmp_path / ("p0." + kind.split("-")[1])
+            write_landmarks(parse_landmarks(lm), path)
+            argv = ["evaluate", str(work / "refined" / "p0.nii"), str(work / "src" / "p0.nii"),
+                    "--landmarks", "{}", "--out", str(out)]
+        elif kind == "config":
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"slice_adjust": True, "partial_rules": True}))
+            out = tmp_path / "out.nii"
+            argv = ["refine", str(work / "fused" / "p0.nii"), str(out),
+                    "--landmarks", str(lm), "--config", "{}"]
+        elif kind == "stats":
+            path, b = tmp_path / "a.csv", tmp_path / "b.csv"
+            path.write_text("subject,x\n" + "".join(f"s{i},{i}\n" for i in range(8)))
+            b.write_text("subject,x\n" + "".join(f"s{i},{i * i}\n" for i in range(8)))
+            argv = ["stats", "{}", str(b), "--out", str(out)]
+        else:
+            path = tmp_path / "model.json"
+            assert main(["shape", "fit", *(str(work / "lm" / f"p{i}.json") for i in (0, 1, 2)),
+                         "--selector", "3", "--out", str(path)]) == 0
+            argv = ["shape", "apply", "{}", "--coeffs", "1.0,0.5", "--out", str(out)]
+        bom = tmp_path / ("bom-" + path.name)
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        results = []
+        for src in (path, bom):
+            capsys.readouterr()
+            assert main([str(src) if a == "{}" else a for a in argv]) == 0, \
+                capsys.readouterr().err
+            manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+            results.append((out.read_bytes(), manifest.get("config")))
+        assert results[0] == results[1]
 
 
 class TestPhantomCommand:

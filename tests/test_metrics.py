@@ -27,6 +27,7 @@ from hoarefine import (
     evaluate_pair,
     extract_protocol_surface,
     extract_separation_line,
+    fuse_labels,
     generate_phantom,
     line_metrics,
     pasd,
@@ -507,6 +508,23 @@ def test_evaluate_pair_self_comparison(phantom0, refined0):
     assert all(v == 0.0 for v in by_metric["sigma_y"])
     assert all(v == 0.0 for v in by_metric["mae"])
     assert report.mean("dice") == 1.0
+
+
+def test_fused_volume_refused_in_either_role(phantom0):
+    vol, lms = phantom0
+    fused = fuse_labels(vol)
+    spec = _spec("Put", "anterior")
+    for pred, gt, role in ((fused, vol, "predicted"), (vol, fused, "reference")):
+        for call in (lambda: evaluate_pair(pred, gt, lms), lambda: dice(pred, gt, 6),
+                     lambda: pasd(gt, pred, spec, lms, "left")):
+            with pytest.raises(MetricError, match=f"{role} volume is tagged fused12"):
+                call()
+    with pytest.raises(MetricError, match="reference volume is tagged fused12"):
+        extract_protocol_surface(fused, spec, lms, "left")
+    # an untagged map is taken as fine, as refine_full takes one as fused
+    untagged = Volume(fused.data, fused.affine)
+    assert evaluate_pair(untagged, vol, lms).rows
+    assert evaluate_pair(vol, untagged, lms).rows
 
 
 def test_evaluate_pair_budget_260():

@@ -16,6 +16,7 @@ from hoarefine import (
     refine_full,
     validate_landmarks,
 )
+from hoarefine.phantom import N, _check_phantom, _fill
 
 GOLDEN_SEED0 = "1d1323e9d5cc72fba08730d98151a12abf37774df7042e114c79993de5bcd3a7"
 
@@ -69,29 +70,28 @@ def test_custom_spacing_stays_consistent():
 
 
 class TestOverrides:
-    def test_unknown_key(self):
-        with pytest.raises(PhantomError, match="unknown override"):
-            PhantomSpec(overrides={"blobs": {}})
+    """The generator's self-checks refuse a layout that breaks its guarantees."""
 
     def test_bad_spacing(self):
         with pytest.raises(PhantomError, match="spacing"):
             PhantomSpec(spacing=0.0)
 
-    def test_overlapping_box_rejected(self):
-        spec = PhantomSpec(overrides={"boxes": {
-            "cau_r": (58, 78, 56, 78, 40, 58)}})  # sits on the striatum blob
-        with pytest.raises(PhantomError, match="overlaps"):
-            generate_phantom(spec)
+    def test_overlapping_box_rejected(self, phantom0):
+        data = phantom0[0].data.copy()
+        with pytest.raises(PhantomError, match="overlaps"):  # sits on the striatum blob
+            _fill(data, (58, 78, 56, 78, 40, 58), 9, "cau_r")
 
     def test_out_of_bounds_box_rejected(self):
-        spec = PhantomSpec(overrides={"boxes": {
-            "cau_r": (60, 120, 44, 54, 60, 68)}})
+        data = np.zeros((N, N, N), dtype=np.int16)
         with pytest.raises(PhantomError, match="leaves the volume"):
-            generate_phantom(spec)
+            _fill(data, (60, 120, 44, 54, 60, 68), 9, "cau_r")
 
-    def test_forced_rule_break_caught(self):
-        with pytest.raises(PhantomError, match="rule inconsistency"):
-            generate_phantom(PhantomSpec(overrides={"force_put_cap": True}))
+    def test_forced_rule_break_caught(self, phantom0):
+        vol, lms = phantom0
+        data = vol.data.copy()
+        data[data == 7] = 11  # right putamen anterior of its landmark #2
+        with pytest.raises(PhantomError, match="rule inconsistency: right putamen"):
+            _check_phantom(vol.with_data(data), lms, 0.7, (N - 1) / 2.0)
 
 
 class TestDegrade:
