@@ -18,7 +18,9 @@ only, and outputs are byte-identical at any job count.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -33,6 +35,7 @@ from . import __version__
 from .labels import (
     LabelError,
     LandmarkSet,
+    _landmark_suffix,
     fuse_labels,
     parse_landmarks,
     validate_landmarks,
@@ -331,10 +334,9 @@ def _json_num(v: float):
 
 
 def _read_stats_table(path: str) -> tuple[list[str], list[str], np.ndarray]:
-    import csv as _csv
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [r for r in _csv.reader(fh) if r]  # blank lines, as csv.DictReader
+            rows = [r for r in csv.reader(fh) if r]  # blank lines, as csv.DictReader
     except OSError as exc:
         raise NiftiError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -377,11 +379,13 @@ def cmd_stats(args) -> int:
     table = PairedSampleTable(tuple(subj_a), tuple(cols_a), a, b)
     results = wilcoxon_fdr(table, q=args.q)
     if args.format == "csv":
-        lines = ["column,statistic,p_value,significant"]
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(["column", "statistic", "p_value", "significant"])
         for r in results:
-            lines.append(f"{r['column']},{r['statistic']},{r['p_value']},"
-                         f"{str(r['significant']).lower()}")
-        text = "\n".join(lines) + "\n"
+            w.writerow([r["column"], r["statistic"], r["p_value"],
+                        str(r["significant"]).lower()])
+        text = buf.getvalue()
     else:
         clean = [dict(r, statistic=_json_num(r["statistic"]),
                       p_value=_json_num(r["p_value"])) for r in results]
@@ -396,10 +400,11 @@ def cmd_phantom(args) -> int:
     if args.degrade:
         vol, lms = degrade_phantom(vol, lms, args.degrade, args.amount,
                                    seed=args.seed)
-    write_volume(vol, args.output)
     lm_out = args.landmarks_out or str(
         Path(args.output).with_name(_volume_stem(Path(args.output))
                                     + ".landmarks.json"))
+    _landmark_suffix(Path(lm_out))  # refused before anything is written
+    write_volume(vol, args.output)
     write_landmarks(lms, lm_out)
     _write_manifest(Path(args.output), "phantom", [], seed=args.seed,
                     elapsed=time.perf_counter() - t0)

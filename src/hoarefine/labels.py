@@ -426,9 +426,17 @@ def validate_landmarks(lms: LandmarkSet, vol: Volume | None = None) -> list[str]
     return problems
 
 
+def _landmark_suffix(path: Path) -> str:
+    """``path``'s lower-cased suffix, ".json" or ".csv"; LabelError otherwise."""
+    suffix = path.suffix.lower()
+    if suffix not in (".json", ".csv"):
+        raise LabelError(f"{path}: landmark files must be .json or .csv")
+    return suffix
+
+
 def write_landmarks(lms: LandmarkSet, path: str | Path) -> None:
     path = Path(path)
-    if path.suffix.lower() == ".json":
+    if _landmark_suffix(path) == ".json":
         doc = {
             "space": "world_mm",
             "frame": "RAS",
@@ -438,7 +446,7 @@ def write_landmarks(lms: LandmarkSet, path: str | Path) -> None:
             ],
         }
         text = json.dumps(doc, indent=2) + "\n"
-    elif path.suffix.lower() == ".csv":
+    else:
         buf = io.StringIO(newline="")
         w = csv.writer(buf)
         w.writerow(["id", "name", "x", "y", "z"])
@@ -446,7 +454,5 @@ def write_landmarks(lms: LandmarkSet, path: str | Path) -> None:
             x, y, z = lms[i]
             w.writerow([i, NAME_FOR_ID[i], repr(float(x)), repr(float(y)), repr(float(z))])
         text = buf.getvalue()
-    else:
-        raise LabelError(f"{path}: landmark files must be .json or .csv")
     with open_atomic(path) as f:
         f.write(text.encode("utf-8"))

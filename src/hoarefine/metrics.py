@@ -61,53 +61,48 @@ def _label_map(vol: Volume, role: str) -> Volume:
     return vol
 
 
-# confusion-matrix side: background plus the fine labels 1..26
+# background plus the fine labels 1..26
 N_CLASSES = max(FINE_NAME) + 1
-# voxels per bincount slab; bincount copies its input to intp, so this
-# bounds that copy to 8 MB instead of 8 bytes per voxel of the volume
-_SLAB_VOXELS = 1 << 20
 
 
-def _confusion(pred: Volume, gt: Volume) -> np.ndarray:
-    """Voxel counts of each (predicted, reference) label pair, 27 x 27.
-
-    One bincount of ``pred * 27 + gt`` (Taha & Hanbury 2015), run slab
-    by slab in int16.
-    """
-    if pred.dims != gt.dims:
-        raise MetricError(f"dimension mismatch: {pred.dims} vs {gt.dims}")
-    for vol, role in ((pred, "predicted"), (gt, "reference")):
-        data = _label_map(vol, role).data
-        lo, hi = (int(data.min()), int(data.max())) if data.size else (0, 0)
-        if lo < 0 or hi >= N_CLASSES:
-            raise MetricError(
-                f"{role} volume holds label {lo if lo < 0 else hi}, outside "
-                f"the fine taxonomy 0..{N_CLASSES - 1}")
-    p, g = pred.data, gt.data
-    if pred.order == "F":  # slab along the last axis, contiguous slabs
-        p, g = p.T, g.T
-    counts = np.zeros(N_CLASSES * N_CLASSES, dtype=np.int64)
-    step = max(1, _SLAB_VOXELS // max(1, p[0].size))
-    for i in range(0, p.shape[0], step):
-        pair = p[i:i + step] * np.int16(N_CLASSES)  # at least int16: no uint8 wrap
-        pair += g[i:i + step]
-        counts += np.bincount(pair.ravel(order="K"), minlength=counts.size)
-    return counts.reshape(N_CLASSES, N_CLASSES)
+def _check_fine(vol: Volume, role: str) -> None:
+    """Raise MetricError unless ``vol`` is a fine label map within 0..26."""
+    data = _label_map(vol, role).data
+    lo, hi = (int(data.min()), int(data.max())) if data.size else (0, 0)
+    if lo < 0 or hi >= N_CLASSES:
+        raise MetricError(
+            f"{role} volume holds label {lo if lo < 0 else hi}, outside "
+            f"the fine taxonomy 0..{N_CLASSES - 1}")
 
 
-def _dice(confusion: np.ndarray, label: int) -> float:
-    denom = int(confusion[label].sum()) + int(confusion[:, label].sum())
-    if denom == 0:
+def _dice(pred: Volume, gt: Volume, label: int) -> float:
+    """Dice of one label of two checked label maps of equal dims, each
+    mask counted inside the label's box (an absent label's is empty) and
+    P&G inside P's; background, which has no box, over the whole grid."""
+    if label == 0:
+        box_p = box_g = tuple(slice(0, n) for n in pred.dims)
+    else:
+        none = (slice(0, 0),) * 3
+        box_p, box_g = pred.box((label,)) or none, gt.box((label,)) or none
+    in_p = pred.data[box_p] == label
+    n_p = int(np.count_nonzero(in_p))
+    n_g = int(np.count_nonzero(gt.data[box_g] == label))
+    if n_p + n_g == 0:
         logger.warning("dice(label=%d): both masks empty, returning 1.0", label)
         return 1.0
-    return 2.0 * int(confusion[label, label]) / denom
+    in_p &= gt.data[box_p] == label
+    return 2.0 * int(np.count_nonzero(in_p)) / (n_p + n_g)
 
 
 def dice(pred: Volume, gt: Volume, label: int) -> float:
     """Dice overlap of one label: 2|P&G| / (|P|+|G|); both-empty = 1.0."""
     if not 0 <= label < N_CLASSES:
         raise MetricError(f"label {label} outside the fine taxonomy 0..{N_CLASSES - 1}")
-    return _dice(_confusion(pred, gt), label)
+    if pred.dims != gt.dims:
+        raise MetricError(f"dimension mismatch: {pred.dims} vs {gt.dims}")
+    _check_fine(pred, "predicted")
+    _check_fine(gt, "reference")
+    return _dice(pred, gt, label)
 
 
 # ---------------------------------------------------------------------------
@@ -728,16 +723,17 @@ def evaluate_pair(pred26: Volume, gt26: Volume, lms: LandmarkSet,
     Labels must lie in the fine taxonomy 0..26 (MetricError otherwise).
     """
     _check_aligned(pred26, gt26)
-    confusion = _confusion(pred26, gt26)
-    report = MetricReport(subject)
-    present = np.flatnonzero(confusion.sum(axis=0) + confusion.sum(axis=1))
-    for label in present[present > 0].tolist():
-        region, side = _region_side(label)
-        report.rows.append(MetricRow(
-            "dice", region, "", side, _dice(confusion, label)))
-
+    _check_fine(pred26, "predicted")
+    _check_fine(gt26, "reference")
     pred_can, _ = reorient_to_canonical(pred26)
     gt_can, _ = reorient_to_canonical(gt26)
+    report = MetricReport(subject)
+    # each view's boxes are scanned here once, and PASD and lines reuse them
+    for label in range(1, N_CLASSES):
+        if pred_can.box((label,)) or gt_can.box((label,)):
+            region, side = _region_side(label)
+            report.rows.append(MetricRow(
+                "dice", region, "", side, _dice(pred_can, gt_can, label)))
     for spec in boundaries:
         for bside in spec.sides:
             try:

@@ -240,6 +240,8 @@ def _label_boxes(data: np.ndarray) -> tuple:
     extent along an axis runs from the first to the last index whose
     word holds its bit.
     """
+    if not data.size:
+        return ()
     top = int(data.max())
     # walk axes from the slowest-varying in memory to the fastest
     perm = sorted(range(3), key=lambda a: -abs(data.strides[a]))

@@ -3,7 +3,8 @@
 # output except the manifests (which hold paths and times) to be equal
 # byte for byte: phantoms of seeds 3 and 5, clean and with boundary noise,
 # fuse, refine with and without --slice-adjust, evaluate to JSON and CSV,
-# and roundtrip with --out (its report and its printed means).
+# roundtrip with --out (its report and its printed means), and stats to
+# JSON and CSV on paired tables of 8 rows (exact null) and 25 (normal tail).
 #
 # usage: tests/compare_outputs.sh BASE_SRC HEAD_SRC [WORKDIR]
 #   BASE_SRC, HEAD_SRC  the src directories of the two trees
@@ -43,6 +44,21 @@ pipeline() {  # pipeline SRC OUTDIR
       done
       hoa roundtrip "s$seed.nii.gz" --landmarks "s$seed.landmarks.json" \
         --out "s$seed-roundtrip.json" > "s$seed-roundtrip.txt"
+      for n in 8 25; do
+        for table in a:7 b:5; do
+          m=${table#*:}
+          {
+            printf 'subject,dice,pasd\n'
+            for i in $(seq "$n"); do
+              printf 's%d,0.%02d,%d.%d\n' "$i" $(( (i * m + seed) % 97 )) \
+                $(( i * m % 13 )) $(( (i + seed) % 10 ))
+            done
+          } > "s$seed-${table%:*}$n.csv"
+        done
+        hoa stats "s$seed-a$n.csv" "s$seed-b$n.csv" --out "s$seed-stats$n.json"
+        hoa stats "s$seed-a$n.csv" "s$seed-b$n.csv" --format csv \
+          --out "s$seed-stats$n.csv"
+      done
     done
   )
 }

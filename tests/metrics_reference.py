@@ -2,8 +2,8 @@
 
 Dice builds two full-volume masks per label, PASD builds a KD-tree over
 every predicted voxel of the label, and separation lines scan each row
-of each slice in Python.  The package implementation reads each volume
-once per metric family (one confusion matrix, label bounding boxes)
+of each slice in Python.  The package implementation reads only the
+labels' bounding boxes, scanned once per volume, for every family,
 and finds PASD's nearest voxels on the voxel lattice with numpy, not
 with a KD-tree; this one keeps scipy's cKDTree so that it stays an
 independent oracle.  ``test_metrics_differential.py`` requires both to

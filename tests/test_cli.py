@@ -615,6 +615,17 @@ class TestStats:
         assert lines[0] == "column,statistic,p_value,significant"
         assert lines[1].startswith("dice,") and lines[1].endswith(",true")
 
+    def test_csv_output_quotes_column_names(self, tmp_path, capsys):
+        # a quoted column name holding a comma came out unquoted: rows of 4, 5, 4
+        a, b = self._tables(tmp_path)
+        for path in (a, b):
+            path.write_text(path.read_text().replace("subject,dice,", 'subject,"dice, mean",', 1))
+        capsys.readouterr()
+        assert main(["stats", str(a), str(b), "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [r[0] for r in rows] == ["column", "dice, mean", "pasd"]
+        assert [len(r) for r in rows] == [4, 4, 4]
+
     def test_non_finite_cell_is_invalid(self, tmp_path, capsys):
         # five finite differences, all negative: ranked with the NaN as a
         # sixth pair, p fell from 0.0625 to 0.03125 and turned significant
@@ -681,6 +692,13 @@ class TestPhantomCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "whole step count" in err[0]
         assert not out.exists()
+
+    def test_refused_landmark_suffix_writes_nothing(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["phantom", str(tmp_path / "x.nii.gz"),
+                     "--landmarks-out", str(tmp_path / "x.txt")]) == 2
+        assert "landmark files must be .json or .csv" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_deterministic_output(self, tmp_path):
         a = tmp_path / "a.nii"

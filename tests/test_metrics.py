@@ -63,10 +63,12 @@ class TestDice:
         assert dice(pred, gt, 6) == 0.0
 
     def test_both_empty_warns(self, caplog):
-        vol = make_volume(np.zeros((2, 2, 2), dtype=np.int16))
-        with caplog.at_level(logging.WARNING, logger="hoarefine.metrics"):
-            assert dice(vol, vol, 6) == 1.0
-        assert any("both masks empty" in r.message for r in caplog.records)
+        for shape in ((2, 2, 2), (0, 2, 2)):  # a zero-size grid has no label boxes
+            vol = make_volume(np.zeros(shape, dtype=np.int16))
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="hoarefine.metrics"):
+                assert dice(vol, vol, 6) == 1.0
+            assert any("both masks empty" in r.message for r in caplog.records)
 
     def test_dimension_mismatch(self):
         a = make_volume(np.zeros((2, 2, 2), dtype=np.int16))
@@ -543,7 +545,8 @@ def test_evaluate_pair_budget_260():
 def test_evaluate_pair_peak_memory_ignores_orientation_260():
     """A LAS pair is scored on flipped views of its stored data, so its
     traced peak is within 10 % of the RAS pair's (a canonical copy of
-    each volume made it 9x)."""
+    each volume made it 9x).  Every family reads only the labels' boxes,
+    so either peak stays under 5 MiB (a whole-grid Dice pass made it 9.3)."""
     vol, lms = generate_phantom(3)
     fused, _ = degrade_phantom(vol, lms, "boundary-noise", 0.05, seed=3)
     dims = (260, 311, 260)
@@ -556,4 +559,6 @@ def test_evaluate_pair_peak_memory_ignores_orientation_260():
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks["LAS"] < 1.1 * peaks["RAS"], {k: v / 2**20 for k, v in peaks.items()}
+    mib = {k: v / 2**20 for k, v in peaks.items()}
+    assert peaks["LAS"] < 1.1 * peaks["RAS"], mib
+    assert max(mib.values()) < 5, mib
