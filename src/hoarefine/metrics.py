@@ -49,30 +49,26 @@ class MetricUndefinedError(MetricError):
 # ---------------------------------------------------------------------------
 # overlap
 
-def _label_map(vol: Volume, role: str) -> Volume:
-    """``vol``, checked to be a fine label map: integer labels, and no
-    fused12 tag, whose ids 1..12 lie in the fine range but name other
-    structures.  An untagged map counts as fine."""
+# background plus the fine labels 1..26
+N_CLASSES = max(FINE_NAME) + 1
+
+
+def _check_fine(vol: Volume, role: str) -> Volume:
+    """``vol``, checked to be a fine label map: integer labels within
+    0..26, and no fused12 tag, whose ids 1..12 lie in the fine range but
+    name other structures.  An untagged map counts as fine.  The range
+    is the volume's kept ``label_scan``, so a second check costs nothing."""
     if not vol.is_label:
         raise MetricError(f"{role} volume needs integer labels, got {vol.data.dtype}")
     if vol.taxonomy == "fused12":
         raise MetricError(f"{role} volume is tagged fused12; evaluation needs "
                           "fine 26-label maps")
-    return vol
-
-
-# background plus the fine labels 1..26
-N_CLASSES = max(FINE_NAME) + 1
-
-
-def _check_fine(vol: Volume, role: str) -> None:
-    """Raise MetricError unless ``vol`` is a fine label map within 0..26."""
-    data = _label_map(vol, role).data
-    lo, hi = (int(data.min()), int(data.max())) if data.size else (0, 0)
+    lo, hi, _ = vol.label_scan
     if lo < 0 or hi >= N_CLASSES:
         raise MetricError(
             f"{role} volume holds label {lo if lo < 0 else hi}, outside "
             f"the fine taxonomy 0..{N_CLASSES - 1}")
+    return vol
 
 
 def _dice(pred: Volume, gt: Volume, label: int) -> float:
@@ -170,7 +166,7 @@ def _surface_voxels(can: Volume, spec: BoundarySpec, lms: LandmarkSet,
                     side: str) -> np.ndarray:
     """(N, 3) canonical voxel indices of the label's protocol boundary face."""
     bside = spec.side(side)
-    data = _label_map(can, "reference").data
+    data = _check_fine(can, "reference").data
     if spec.surface in ("anterior", "posterior"):
         j = _surface_slice(can, bside, spec.surface, lms)
         if not 0 <= j < data.shape[1]:
@@ -373,12 +369,12 @@ def pasd(gt: Volume, pred: Volume, spec: BoundarySpec, lms: LandmarkSet,
     predicted voxel.
     """
     _check_aligned(pred, gt)
-    _label_map(pred, "predicted")
+    can, _ = reorient_to_canonical(pred)
+    _check_fine(can, "predicted")
     bside = spec.side(side)
     gt_can, _ = reorient_to_canonical(gt)
     vox = _surface_voxels(gt_can, spec, lms, side)
     surface = gt_can.voxel_to_world(vox.astype(np.float64))
-    can, _ = reorient_to_canonical(pred)
     box = can.box((bside.label,))
     if box is not None and side_filter and spec.surface in ("anterior", "posterior") \
             and bside.landmark in lms:
@@ -723,12 +719,12 @@ def evaluate_pair(pred26: Volume, gt26: Volume, lms: LandmarkSet,
     Labels must lie in the fine taxonomy 0..26 (MetricError otherwise).
     """
     _check_aligned(pred26, gt26)
-    _check_fine(pred26, "predicted")
-    _check_fine(gt26, "reference")
     pred_can, _ = reorient_to_canonical(pred26)
     gt_can, _ = reorient_to_canonical(gt26)
+    # each view is scanned here once, and Dice, PASD and lines reuse the scan
+    _check_fine(pred_can, "predicted")
+    _check_fine(gt_can, "reference")
     report = MetricReport(subject)
-    # each view's boxes are scanned here once, and PASD and lines reuse them
     for label in range(1, N_CLASSES):
         if pred_can.box((label,)) or gt_can.box((label,)):
             region, side = _region_side(label)

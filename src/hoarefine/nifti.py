@@ -186,21 +186,19 @@ class Volume:
         return np.issubdtype(self.data.dtype, np.integer)
 
     @functools.cached_property
-    def label_boxes(self) -> tuple:
-        """Bounding box of each label value v >= 1 of an integer label map.
-
-        ``label_boxes[v - 1]`` is a tuple of per-axis slices enclosing
-        every voxel of value v, or None when v is absent; there is one
-        entry per value up to the largest.  Computed on first use and
-        kept, which is safe because ``data`` is locked.
-        """
+    def label_scan(self) -> tuple:
+        """``(min, max, boxes)`` of an integer label map (``_label_scan``),
+        computed on first use and kept, which is safe because ``data`` is
+        locked."""
         if not self.is_label:
-            raise ValueError(f"bounding boxes need integer labels, got {self.data.dtype}")
-        return _label_boxes(self.data)
+            raise ValueError(f"a label scan needs integer labels, got {self.data.dtype}")
+        return _label_scan(self.data)
 
     def box(self, labels) -> tuple | None:
-        """Union of the ``label_boxes`` of ``labels``, None when none is present."""
-        boxes = self.label_boxes
+        """Union of the boxes of ``labels``, None when none is present."""
+        lo, hi, boxes = self.label_scan
+        if boxes is None:
+            raise ValueError(f"no boxes: label {lo if lo < 0 else hi} is outside 0..{_BOX_MAX}")
         found = [boxes[v - 1] for v in labels if 0 < v <= len(boxes) and boxes[v - 1]]
         return tuple(slice(min(b[a].start for b in found), max(b[a].stop for b in found))
                      for a in range(3)) if found else None
@@ -227,51 +225,48 @@ def _map_rows(affine: np.ndarray, pts) -> np.ndarray:
     return np.stack([i * a[0] + j * a[1] + k * a[2] + a[3] for a in affine[:3]], axis=-1)
 
 
-_BOX_BAND = 63  # labels per data pass: bits 1..63 of a uint64, bit 0 for the rest
+_BOX_MAX = 31  # bit v of a uint32 word marks value v, so boxes cover 0..31
 _BOX_PLANES = 4  # planes per slab: the bit words of a slab are its only temporary
 
 
-def _label_boxes(data: np.ndarray) -> tuple:
-    """Bounding boxes of the values 1..data.max(), None for an absent one.
+def _label_scan(data: np.ndarray) -> tuple:
+    """``(min, max, boxes)`` of an integer array, ``(0, 0, ())`` when empty.
 
-    Each voxel of value v sets bit v of an unsigned word (v minus the
-    band's offset, one pass per band of 63 values), and the words
-    OR-reduce onto each axis one slab of planes at a time.  A value's
-    extent along an axis runs from the first to the last index whose
-    word holds its bit.
+    ``boxes[v - 1]`` is the tuple of per-axis slices enclosing every
+    voxel of value v, or None when v is absent, for v in 1..max; ``boxes``
+    is None when a value lies outside 0..31.  Each voxel of value v sets
+    bit v of a uint32 word, and the words OR-reduce onto each axis one
+    slab of planes at a time, the slab that also gives the min and max.
+    A value's extent along an axis runs from the first to the last index
+    whose word holds its bit.
     """
     if not data.size:
-        return ()
-    top = int(data.max())
+        return 0, 0, ()
     # walk axes from the slowest-varying in memory to the fastest
     perm = sorted(range(3), key=lambda a: -abs(data.strides[a]))
     view = data.transpose(perm)
-    direct = top <= _BOX_BAND and int(data.min()) >= 0  # each value is its own bit
-    need = top if direct else _BOX_BAND  # the highest bit number set
-    word = np.dtype(next(w for w in (np.uint8, np.uint16, np.uint32, np.uint64)
-                         if np.dtype(w).itemsize * 8 > need))
-    boxes = [None] * max(top, 0)
-    for offset in range(0, top, _BOX_BAND):
-        proj = [np.zeros(n, dtype=word) for n in view.shape]
-        for a in range(0, view.shape[0], _BOX_PLANES):
-            slab = view[a:a + _BOX_PLANES]
-            if not direct:
-                slab = slab.astype(np.int64) - offset
-                slab[(slab < 1) | (slab > _BOX_BAND)] = 0
-            bits = np.left_shift(word.type(1), slab, dtype=word, casting="unsafe")
-            rows = np.bitwise_or.reduce(bits, axis=2)
-            proj[0][a:a + _BOX_PLANES] = np.bitwise_or.reduce(rows, axis=1)
-            proj[1] |= np.bitwise_or.reduce(rows, axis=0)
-            proj[2] |= np.bitwise_or.reduce(bits, axis=(0, 1))
-        width = min(top - offset, _BOX_BAND)
-        # has[c][n, b]: index n of view axis c holds value offset + 1 + b
-        has = [(p[:, None] >> np.arange(1, width + 1, dtype=word)) & 1 != 0 for p in proj]
-        first = [h.argmax(axis=0) for h in has]
-        stop = [len(h) - h[::-1].argmax(axis=0) for h in has]
-        for b in np.flatnonzero(has[0].any(axis=0)):
-            boxes[offset + b] = tuple(slice(int(first[c][b]), int(stop[c][b]))
-                                      for c in (perm.index(axis) for axis in range(3)))
-    return tuple(boxes)
+    proj = [np.zeros(n, dtype=np.uint32) for n in view.shape]
+    ranges = []
+    for a in range(0, view.shape[0], _BOX_PLANES):
+        slab = view[a:a + _BOX_PLANES]
+        ranges.append((slab.min(), slab.max()))
+        bits = np.left_shift(np.uint32(1), slab, dtype=np.uint32, casting="unsafe")
+        rows = np.bitwise_or.reduce(bits, axis=2)
+        proj[0][a:a + _BOX_PLANES] = np.bitwise_or.reduce(rows, axis=1)
+        proj[1] |= np.bitwise_or.reduce(rows, axis=0)
+        proj[2] |= np.bitwise_or.reduce(bits, axis=(0, 1))
+    lo, hi = int(min(r[0] for r in ranges)), int(max(r[1] for r in ranges))
+    if lo < 0 or hi > _BOX_MAX:
+        return lo, hi, None
+    # has[c][n, b]: index n of view axis c holds value 1 + b
+    has = [(p[:, None] >> np.arange(1, hi + 1, dtype=np.uint32)) & 1 != 0 for p in proj]
+    first = [h.argmax(axis=0) for h in has]
+    stop = [len(h) - h[::-1].argmax(axis=0) for h in has]
+    boxes = [None] * hi
+    for b in np.flatnonzero(has[0].any(axis=0)):
+        boxes[b] = tuple(slice(int(first[c][b]), int(stop[c][b]))
+                         for c in (perm.index(axis) for axis in range(3)))
+    return lo, hi, tuple(boxes)
 
 
 def _erode_6(mask: np.ndarray, steps: int = 1) -> np.ndarray:

@@ -5,6 +5,10 @@
 # fuse, refine with and without --slice-adjust, evaluate to JSON and CSV,
 # roundtrip with --out (its report and its printed means), and stats to
 # JSON and CSV on paired tables of 8 rows (exact null) and 25 (normal tail).
+# Copies of the phantom and of both refine inputs stored with the x axis
+# reversed (LAS) are written with each tree's own read_volume and
+# write_volume; each LAS input is refined, and that LAS prediction is
+# evaluated against the LAS phantom to JSON and CSV.
 #
 # usage: tests/compare_outputs.sh BASE_SRC HEAD_SRC [WORKDIR]
 #   BASE_SRC, HEAD_SRC  the src directories of the two trees
@@ -25,6 +29,17 @@ pipeline() {  # pipeline SRC OUTDIR
   (
     cd "$out"
     hoa() { PYTHONPATH="$src" python -m hoarefine.cli "$@"; }
+    las() {  # las IN OUT: the same world volume stored with its x axis reversed
+      PYTHONPATH="$src" python - "$1" "$2" <<'PY'
+import sys
+from hoarefine.nifti import Volume, read_volume, write_volume
+vol = read_volume(sys.argv[1])
+affine = vol.affine.copy()
+affine[:3, 3] += affine[:3, 0] * (vol.dims[0] - 1)
+affine[:3, 0] = -affine[:3, 0]
+write_volume(Volume(vol.data[::-1], affine, taxonomy=vol.taxonomy), sys.argv[2])
+PY
+    }
     for seed in 3 5; do
       hoa phantom "s$seed.nii.gz" --seed "$seed"
       hoa phantom "s$seed-noisy.nii.gz" --seed "$seed" \
@@ -41,6 +56,16 @@ pipeline() {  # pipeline SRC OUTDIR
           hoa evaluate "$pred.nii.gz" "s$seed.nii.gz" \
             --landmarks "s$seed.landmarks.json" --format csv --out "$pred.csv"
         done
+      done
+      las "s$seed.nii.gz" "s$seed-las.nii.gz"
+      for input in "s$seed-fused" "s$seed-noisy"; do
+        las "$input.nii.gz" "$input-las.nii.gz"
+        hoa refine "$input-las.nii.gz" "$input-las-refined.nii.gz" \
+          --landmarks "s$seed.landmarks.json"
+        hoa evaluate "$input-las-refined.nii.gz" "s$seed-las.nii.gz" \
+          --landmarks "s$seed.landmarks.json" --out "$input-las-refined.json"
+        hoa evaluate "$input-las-refined.nii.gz" "s$seed-las.nii.gz" \
+          --landmarks "s$seed.landmarks.json" --format csv --out "$input-las-refined.csv"
       done
       hoa roundtrip "s$seed.nii.gz" --landmarks "s$seed.landmarks.json" \
         --out "s$seed-roundtrip.json" > "s$seed-roundtrip.txt"

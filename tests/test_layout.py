@@ -77,9 +77,11 @@ def test_label_boxes_and_box_ignore_layout(data, layout, picks):
     ref = make_volume(data)
     vol = make_volume(_held_as(data, layout))
     _same_array(vol.data, ref.data)
-    assert vol.label_boxes == ref.label_boxes
+    assert vol.label_scan == ref.label_scan
+    lo, hi, boxes = ref.label_scan
+    assert (lo, hi) == (data.min(), data.max())
     assert vol.box(picks) == ref.box(picks)
-    for v, b in enumerate(ref.label_boxes, start=1):
+    for v, b in enumerate(boxes, start=1):
         want = np.argwhere(data == v)
         assert (b is None) == (want.size == 0)
         if b is not None:

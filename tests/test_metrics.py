@@ -30,6 +30,7 @@ from hoarefine import (
     fuse_labels,
     generate_phantom,
     line_metrics,
+    nifti,
     pasd,
     refine_full,
     wilcoxon_fdr,
@@ -527,6 +528,43 @@ def test_fused_volume_refused_in_either_role(phantom0):
     untagged = Volume(fused.data, fused.affine)
     assert evaluate_pair(untagged, vol, lms).rows
     assert evaluate_pair(vol, untagged, lms).rows
+
+
+@pytest.mark.parametrize("bad", (-1, 27, 126000))
+def test_pasd_and_surface_refuse_labels_outside_taxonomy(phantom0, bad):
+    """The public pasd and extract_protocol_surface refuse a label outside
+    0..26 in either volume, as evaluate_pair does, at the cost of one
+    label scan per volume, whatever the label."""
+    vol, lms = phantom0
+    data = vol.data.astype(np.int32)
+    data[0, 0, 0] = bad
+    odd = Volume(data, vol.affine, taxonomy=vol.taxonomy)
+    spec = _spec("NAcc", "lateral")
+    t0 = time.perf_counter()
+    for role, call in (("predicted", lambda: pasd(vol, odd, spec, lms, "left")),
+                       ("reference", lambda: pasd(odd, vol, spec, lms, "left")),
+                       ("reference", lambda: extract_protocol_surface(odd, spec, lms, "left"))):
+        with pytest.raises(MetricError, match=f"^{role} volume holds label {bad}, outside"):
+            call()
+    assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize("store", ("RAS", "LAS"))
+def test_evaluate_pair_scans_each_volume_once(monkeypatch, phantom0, store):
+    """evaluate_pair scans the labels of each canonical view once, and
+    its checks, Dice, PASD and lines share that scan.  A RAS volume is
+    its own view, so a reference reused across calls keeps its scan; a
+    LAS one gets a new view, scanned again, on every call."""
+    vol, lms = phantom0
+    stored = to_las if store == "LAS" else (lambda v: v.with_data(v.data))
+    scanned = []
+    scan = nifti._label_scan
+    monkeypatch.setattr(nifti, "_label_scan", lambda data: scanned.append(1) or scan(data))
+    gt = stored(vol)
+    for want in (2, 1 if store == "RAS" else 2):
+        scanned.clear()
+        assert evaluate_pair(stored(vol), gt, lms).rows
+        assert len(scanned) == want
 
 
 def test_evaluate_pair_budget_260():

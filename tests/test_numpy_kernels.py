@@ -1,5 +1,5 @@
 """The numpy kernels against the scipy.ndimage calls they replace:
-``find_objects`` behind ``Volume.label_boxes``; ``label`` with a
+``find_objects`` behind ``Volume.label_scan``'s boxes; ``label`` with a
 4-connected cross and ``binary_dilation`` with a full 3x3 square behind
 the inferior-horn chase; ``binary_erosion`` behind PASD's surface shell
 and the phantom's erosion.
@@ -10,12 +10,13 @@ layouts that refinement hands these kernels.
 """
 
 import numpy as np
+import pytest
 import scipy.ndimage as ndi
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hoarefine.nifti import _erode_6, _label_boxes
+from hoarefine.nifti import _erode_6, _label_scan
 from hoarefine.refine import _components_4, _dilate_3x3
 
 from conftest import make_volume
@@ -99,11 +100,20 @@ label_maps = hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=9).fl
 @example(data=np.full((1, 1, 7), 200, dtype=np.int16), layout="C")
 @example(data=np.arange(1, 201, dtype=np.int16).reshape(5, 8, 5), layout="view")
 @example(data=np.arange(-3, 201, dtype=np.int32).reshape(1, 204, 1), layout="F")
+@example(data=np.arange(0, 32, dtype=np.int16).reshape(2, 4, 4), layout="view")
+@example(data=np.arange(0, 33, dtype=np.uint8).reshape(3, 1, 11), layout="permuted")
 def test_label_boxes_match_find_objects(data, layout):
+    """The scan's range is the array's; its boxes are ``find_objects``'
+    when every value lies in 0..31 and None otherwise, where ``box`` raises."""
     held = data.transpose(1, 2, 0) if layout == "permuted" else _held_as(data, layout)
-    want = tuple(ndi.find_objects(held))
-    assert _label_boxes(held) == want
-    assert make_volume(held).label_boxes == want
+    lo, hi = int(data.min()), int(data.max())
+    want = (lo, hi, tuple(ndi.find_objects(held)) if 0 <= lo and hi <= 31 else None)
+    assert _label_scan(held) == want
+    vol = make_volume(held)
+    assert vol.label_scan == want
+    if want[2] is None:
+        with pytest.raises(ValueError, match=f"^no boxes: label {lo if lo < 0 else hi} is outside"):
+            vol.box((1,))
 
 
 @PROPERTY

@@ -95,6 +95,13 @@ class TestSplitHemispheres:
         hemi = split_hemispheres(vol, Plane(np.zeros(3), np.array([1.0, 0, 0])))
         assert hemi[0, 0, 0] == 0 and hemi[1, 0, 0] == 2  # x == 0 counts as right
 
+    def test_labels_outside_box_range_raise(self):
+        """A stage reads the fused map's label boxes, which cover 0..31;
+        called directly on a map holding 255 it raises ValueError."""
+        data = np.array([[[255]], [[1]], [[1]]], dtype=np.int16)
+        with pytest.raises(ValueError, match="^no boxes: label 255 is outside 0..31$"):
+            split_hemispheres(make_volume(data), Plane(np.zeros(3), np.array([1.0, 0, 0])))
+
     def test_slice_adjust_deterministic_and_local(self):
         rng = np.random.default_rng(5)
         data = (rng.random((20, 6, 5)) < 0.9).astype(np.int16)
