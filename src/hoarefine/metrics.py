@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .labels import FINE_HEMISPHERE, FINE_NAME, LandmarkSet
-from .nifti import Volume, _erode_6, reorient_to_canonical
+from .nifti import Volume, _erode_6, _world_axis, reorient_to_canonical
 from .refine import coronal_slice_index
 
 logger = logging.getLogger("hoarefine.metrics")
@@ -191,7 +191,7 @@ def _surface_voxels(can: Volume, spec: BoundarySpec, lms: LandmarkSet,
     with_neighbor[nbox[1]] = (data[nbox] == bside.neighbor).any(axis=(0, 2))
     mask = (data[box] == bside.label) & with_neighbor[box[1]][None, :, None]
     ii = np.arange(box[0].start, box[0].stop)
-    absx = np.abs(can.voxel_to_world(np.column_stack((ii, 0 * ii, 0 * ii)))[:, 0])[:, None, None]
+    absx = np.abs(_world_axis(can.affine, 0, ii, 0, 0))[:, None, None]
     # per (j, k) row, the label voxel nearest the separator (lowest i on
     # ties): the most lateral one of a medial structure and vice versa
     if _is_medial(bside):
@@ -218,8 +218,7 @@ def extract_protocol_surface(gt: Volume, spec: BoundarySpec, lms: LandmarkSet,
     the most lateral voxel of a medial structure and vice versa.
     """
     can, _ = reorient_to_canonical(gt)
-    return can.voxel_to_world(
-        _surface_voxels(can, spec, lms, side).astype(np.float64))
+    return can.voxel_to_world(_surface_voxels(can, spec, lms, side))
 
 
 def _is_medial(bside: BoundarySide) -> bool:
@@ -374,7 +373,7 @@ def pasd(gt: Volume, pred: Volume, spec: BoundarySpec, lms: LandmarkSet,
     bside = spec.side(side)
     gt_can, _ = reorient_to_canonical(gt)
     vox = _surface_voxels(gt_can, spec, lms, side)
-    surface = gt_can.voxel_to_world(vox.astype(np.float64))
+    surface = gt_can.voxel_to_world(vox)
     box = can.box((bside.label,))
     if box is not None and side_filter and spec.surface in ("anterior", "posterior") \
             and bside.landmark in lms:
@@ -452,12 +451,12 @@ def _separation_lines(vol: Volume, slice_axis: int, scan_axis: int,
     # a slice lacking a label has no row holding both
     line = a_mask.any(axis=1) & b_mask.any(axis=1) & (mean_a != mean_b)[:, None]
     # world position of every (slice, row)'s first B voxel, in one call:
-    # a row converts the same alone or among others
-    pts = np.empty(first.shape + (3,))
-    pts[..., scan_axis] = first
-    pts[..., slice_axis] = np.arange(origin[0], origin[0] + blk.shape[0])[:, None]
-    pts[..., row_axis] = np.arange(origin[2], origin[2] + blk.shape[2])
-    return line, vol.voxel_to_world(pts)[..., scan_axis], mean_a, mean_b
+    # a point converts the same alone or among others
+    ijk = [None] * 3
+    ijk[scan_axis] = first
+    ijk[slice_axis] = np.arange(origin[0], origin[0] + blk.shape[0])[:, None]
+    ijk[row_axis] = np.arange(origin[2], origin[2] + blk.shape[2])
+    return line, _world_axis(vol.affine, scan_axis, *ijk), mean_a, mean_b
 
 
 def extract_separation_line(vol: Volume, slice_axis: int, slice_index: int,
@@ -710,11 +709,11 @@ def _region_side(fine_id: int) -> tuple[str, str]:
 
 
 def evaluate_pair(pred26: Volume, gt26: Volume, lms: LandmarkSet,
-                  boundaries: tuple[BoundarySpec, ...] = DEFAULT_BOUNDARIES,
                   subject: str = "subject") -> MetricReport:
     """Full per-subject report: Dice per label, PASD and line metrics
-    per protocol boundary side.  Boundary sides undefined on these
-    volumes (absent labels or landmarks) are listed in ``skipped``.
+    per side of each boundary in ``DEFAULT_BOUNDARIES``.  Boundary sides
+    undefined on these volumes (absent labels or landmarks) are listed in
+    ``skipped``.
 
     Labels must lie in the fine taxonomy 0..26 (MetricError otherwise).
     """
@@ -730,7 +729,7 @@ def evaluate_pair(pred26: Volume, gt26: Volume, lms: LandmarkSet,
             region, side = _region_side(label)
             report.rows.append(MetricRow(
                 "dice", region, "", side, _dice(pred_can, gt_can, label)))
-    for spec in boundaries:
+    for spec in DEFAULT_BOUNDARIES:
         for bside in spec.sides:
             try:
                 value = pasd(gt_can, pred_can, spec, lms, bside.side)
@@ -740,7 +739,7 @@ def evaluate_pair(pred26: Volume, gt26: Volume, lms: LandmarkSet,
                 continue
             report.rows.append(MetricRow(
                 "pasd", spec.region, spec.surface, bside.side, value))
-    for spec in boundaries:
+    for spec in DEFAULT_BOUNDARIES:
         for bside in spec.sides:
             agg = _line_metrics_for_boundary(pred_can, gt_can, spec, bside)
             if agg is None:

@@ -211,18 +211,24 @@ class Volume:
         """Map world mm to (fractional) voxel indices."""
         return _map_rows(np.linalg.inv(self.affine), xyz)
 
-    def with_data(self, data: np.ndarray, taxonomy: str | None = "keep") -> "Volume":
-        tax = self.taxonomy if taxonomy == "keep" else taxonomy
-        return Volume(data, self.affine, taxonomy=tax)
+    def with_data(self, data: np.ndarray) -> "Volume":
+        return Volume(data, self.affine, taxonomy=self.taxonomy)
+
+
+def _world_axis(affine: np.ndarray, c: int, i, j, k) -> np.ndarray:
+    """World coordinate c of voxel indices i, j, k, broadcast against each
+    other: i*a[c,0] + j*a[c,1] + k*a[c,2] + a[c,3] summed left to right in
+    float64, with no matrix product, so a point's value depends neither on
+    the other points nor on the BLAS build.  Integers convert exactly."""
+    a = affine[c]
+    return i * a[0] + j * a[1] + k * a[2] + a[3]
 
 
 def _map_rows(affine: np.ndarray, pts) -> np.ndarray:
-    """``affine`` applied to each row of ``pts``, shape (..., 3): coordinate
-    c is i*a[c,0] + j*a[c,1] + k*a[c,2] + a[c,3], summed left to right in
-    elementwise float64 steps, with no matrix product, so a row's value
-    depends neither on the other rows of the call nor on the BLAS build."""
+    """``affine`` applied to each row of ``pts``, shape (..., 3), one
+    ``_world_axis`` per coordinate."""
     i, j, k = np.moveaxis(np.asarray(pts, dtype=np.float64), -1, 0)
-    return np.stack([i * a[0] + j * a[1] + k * a[2] + a[3] for a in affine[:3]], axis=-1)
+    return np.stack([_world_axis(affine, c, i, j, k) for c in range(3)], axis=-1)
 
 
 _BOX_MAX = 31  # bit v of a uint32 word marks value v, so boxes cover 0..31
@@ -610,8 +616,13 @@ def round_half_away(x) -> np.ndarray:
     """Round to nearest integer with halves away from zero.
 
     numpy's round() goes to even; plane-to-slice snapping needs the
-    away-from-zero convention so 0.5 -> 1 and -0.5 -> -1.
+    away-from-zero convention so 0.5 -> 1 and -0.5 -> -1.  A value whose
+    rounding does not fit int64 raises ValueError.
     """
     x = np.asarray(x, dtype=np.float64)
-    return np.trunc(x + np.copysign(0.5, x)).astype(np.int64)
+    r = np.trunc(x + np.copysign(0.5, x))
+    bad = ~((r >= -2.0**63) & (r < 2.0**63))  # NaN included
+    if bad.any():
+        raise ValueError(f"{x[bad].flat[0]:g} is too far from the grid for an int64 index")
+    return r.astype(np.int64)
 

@@ -41,7 +41,7 @@ from .labels import (
     MIDSAGITTAL_IDS,
     validate_labels,
 )
-from .nifti import Volume, reorient_to_canonical, round_half_away
+from .nifti import Volume, _world_axis, reorient_to_canonical, round_half_away
 
 
 class RuleGeometryError(Exception):
@@ -141,14 +141,6 @@ def build_midsagittal_plane(lms: LandmarkSet) -> Plane:
     return Plane(ac, normal)
 
 
-def _world_coords(vol: Volume, idx, box) -> np.ndarray:
-    """World mm of ``box``-local voxel indices, offset as integers first."""
-    pts = np.empty((idx[0].size, 3))
-    for axis, (a, s) in enumerate(zip(idx, box)):
-        pts[:, axis] = a + s.start  # exact; one column's int64 temporary at a time
-    return vol.voxel_to_world(pts)
-
-
 def split_hemispheres(
     vol12: Volume,
     plane: Plane,
@@ -178,7 +170,9 @@ def split_hemispheres(
         ci, ck = np.nonzero(np.isin(data[:, j, :], bilateral))
         if ci.size == 0:
             continue
-        s = plane.signed_distance(_world_coords(vol12, (ci, np.full_like(ci, j), ck), box))
+        ijk = (ci + box[0].start, j + box[1].start, ck + box[2].start)
+        xyz = np.stack([_world_axis(vol12.affine, c, *ijk) for c in range(3)], axis=1)
+        s = plane.signed_distance(xyz)
         best_key, best_tags = None, None
         for d in shifts:
             tags = np.where(s >= d * h, np.uint8(2), np.uint8(1))
@@ -189,13 +183,6 @@ def split_hemispheres(
         prev = out[:, j, :]
         prev[ci, ck] = best_tags
     return hemi
-
-
-def _slice_center_y(vol12: Volume, js: np.ndarray) -> np.ndarray:
-    """Representative world y per coronal slice, at the in-plane center."""
-    nx, _, nz = vol12.dims
-    pts = np.broadcast_arrays((nx - 1) / 2.0, js.astype(np.float64), (nz - 1) / 2.0)
-    return vol12.voxel_to_world(np.stack(pts, axis=1))[:, 1]
 
 
 def _separator_x(x_ant, y_ant, x_post, y_post, ys: np.ndarray) -> np.ndarray:
@@ -251,10 +238,11 @@ def separate_nacc_putamen(
                 f"contact landmarks out of order: #{ant_id} y={y_ant:g} must be "
                 f"anterior to #{post_id} y={y_post:g}")
         idx = np.nonzero(m)
-        xs = _world_coords(vol12, idx, box)[:, 0]
+        xs = _world_axis(vol12.affine, 0, *(a + s.start for a, s in zip(idx, box)))
         js = np.unique(idx[1])
-        sep_per_slice = _separator_x(x_ant, y_ant, x_post, y_post,
-                                     _slice_center_y(vol12, js + box[1].start))
+        nx, _, nz = vol12.dims  # each slice's y at its in-plane centre
+        ys = _world_axis(vol12.affine, 1, (nx - 1) / 2, js + box[1].start, (nz - 1) / 2)
+        sep_per_slice = _separator_x(x_ant, y_ant, x_post, y_post, ys)
         sep = sep_per_slice[np.searchsorted(js, idx[1])]
         nacc = np.abs(xs) < np.abs(sep)
         partial[box][tuple(a[nacc] for a in idx)] = (6, 7)[side]
@@ -347,14 +335,14 @@ def split_lv_ih(
             comps, n = _components_4(sl)
             if prev_ih is None:
                 ids = np.arange(1, n + 1)
-                w = _centroids_world(vol12, comps, ids, box, j)
-                pick = ids[np.argmin(np.hypot(w[:, 0] - lm_x, w[:, 2] - lm_z))]
+                wx, wz = _centroids_world(vol12, comps, ids, box, j)
+                pick = ids[np.argmin(np.hypot(wx - lm_x, wz - lm_z))]
             else:
                 reach = _dilate_3x3(prev_ih)
                 ids = np.unique(comps[reach & (comps > 0)])
                 if ids.size == 0:
                     break
-                pick = ids[np.argmin(_centroids_world(vol12, comps, ids, box, j)[:, 2])]
+                pick = ids[np.argmin(_centroids_world(vol12, comps, ids, box, j)[1])]
             prev_ih = comps == pick
             partial[box][:, j, :][prev_ih] = (17, 18)[side]
     return partial
@@ -412,9 +400,9 @@ def _dilate_3x3(mask: np.ndarray) -> np.ndarray:
     return rows[:-2] | rows[1:-1] | rows[2:]
 
 
-def _centroids_world(vol12: Volume, comps, ids, box, j: int) -> np.ndarray:
-    """World centroids, shape (len(ids), 3), of components ``ids`` of
-    ``comps``, the crop of ``box``-local slice j.
+def _centroids_world(vol12: Volume, comps, ids, box, j: int) -> tuple:
+    """World (x, z) centroids, each of shape (len(ids),), of components
+    ``ids`` of ``comps``, the crop of ``box``-local slice j.
 
     The index sums, box offset included, are integers, exact in float64.
     """
@@ -423,7 +411,7 @@ def _centroids_world(vol12: Volume, comps, ids, box, j: int) -> np.ndarray:
     count = np.bincount(lab)[ids]
     ci = np.bincount(lab, weights=ii + box[0].start)[ids] / count
     ck = np.bincount(lab, weights=kk + box[2].start)[ids] / count
-    return vol12.voxel_to_world(np.column_stack((ci, np.full(ci.shape, j + box[1].start), ck)))
+    return tuple(_world_axis(vol12.affine, c, ci, j + box[1].start, ck) for c in (0, 2))
 
 
 def refine_full(

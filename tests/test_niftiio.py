@@ -21,7 +21,7 @@ from hoarefine import (
     round_half_away,
     write_volume,
 )
-from hoarefine.nifti import AxisMap, orientation_map
+from hoarefine.nifti import AxisMap, _world_axis, orientation_map
 
 from conftest import make_volume
 
@@ -404,7 +404,10 @@ def _oblique_affine(angles, shear, spacing, flips, shift):
 def test_each_row_is_converted_on_its_own(angles, shear, spacing, flips, shift, n, seed):
     """A row's world (or voxel) coordinates do not depend on the other rows
     of the call: alone, in the whole batch and in a shuffled sub-batch
-    they are equal under ==."""
+    they are equal under ==.  ``_world_axis`` gives each coordinate as the
+    left-to-right Python sum i*a0 + j*a1 + k*a2 + a3, equal under == to the
+    matching column of voxel_to_world, on int64 index arrays, with a scalar
+    index, and on the (slice, row) grid of _separation_lines."""
     vol = Volume(np.zeros((2, 2, 2), dtype=np.int16),
                  _oblique_affine(angles, shear, spacing, flips, shift))
     rng = np.random.default_rng(seed)
@@ -417,6 +420,22 @@ def test_each_row_is_converted_on_its_own(angles, shear, spacing, flips, shift, 
         assert np.array_equal(convert(pts[sub]), batch[sub])
         for row in range(n):
             assert np.array_equal(convert(pts[row]), batch[row])
+
+    rows = vol.affine.tolist()
+    ijk = rng.integers(0, 300, (n, 3))
+    n_slices, n_rows = rng.integers(1, 12, 2)
+    for c in range(3):
+        grid = [None] * 3  # scan axis c, then the slice and row axes
+        grid[c] = rng.integers(0, 300, (n_slices, n_rows))
+        grid[(c + 1) % 3] = rng.integers(0, 300, (n_slices, 1))
+        grid[(c + 2) % 3] = rng.integers(0, 300, n_rows)
+        for idx in ([ijk[:, 0], ijk[:, 1], ijk[:, 2]], [ijk[:, 0], 17, ijk[:, 2]], grid):
+            got = _world_axis(vol.affine, c, *idx)
+            flat = [a.ravel() for a in np.broadcast_arrays(*idx)]
+            a0, a1, a2, a3 = rows[c]
+            want = [float(i) * a0 + float(j) * a1 + float(k) * a2 + a3 for i, j, k in zip(*flat)]
+            assert got.ravel().tolist() == want
+            assert np.array_equal(got.ravel(), vol.voxel_to_world(np.stack(flat, axis=1))[:, c])
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (4,), (5, 2)])
@@ -436,6 +455,10 @@ def test_singular_affine_rejected():
 def test_round_half_away():
     vals = np.array([0.5, 1.5, -0.5, -1.5, 2.49, -2.49, 3.51])
     assert round_half_away(vals).tolist() == [1, 2, -1, -2, 2, -2, 4]
+    assert round_half_away(-2.0**63) == np.iinfo(np.int64).min
+    for far in (1e20, -1e20, 2.0**63, np.nan, [0.5, 1e20]):
+        with pytest.raises(ValueError, match="int64"):
+            round_half_away(far)
 
 
 def _corner_worlds(vol):
