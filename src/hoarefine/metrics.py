@@ -182,13 +182,13 @@ def _surface_voxels(can: Volume, spec: BoundarySpec, lms: LandmarkSet,
 
     if spec.surface != "lateral":
         raise MetricError(f"unknown surface kind {spec.surface!r}")
-    box, nbox = can.box((bside.label,)), can.box((bside.neighbor,))
-    if box is None or nbox is None:
+    box = can.box((bside.label,))
+    if box is None:
         raise MetricUndefinedError(
             f"{spec.region} (lateral, {side}): no slice contains both label "
             f"{bside.label} and neighbor {bside.neighbor}")
-    with_neighbor = np.zeros(data.shape[1], dtype=bool)
-    with_neighbor[nbox[1]] = (data[nbox] == bside.neighbor).any(axis=(0, 2))
+    # the coronal slices holding the neighbour: its bit in the scan's axis-1 words
+    with_neighbor = can.label_scan[2][1] & (1 << bside.neighbor) != 0
     mask = (data[box] == bside.label) & with_neighbor[box[1]][None, :, None]
     ii = np.arange(box[0].start, box[0].stop)
     absx = np.abs(_world_axis(can.affine, 0, ii, 0, 0))[:, None, None]

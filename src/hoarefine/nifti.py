@@ -187,7 +187,7 @@ class Volume:
 
     @functools.cached_property
     def label_scan(self) -> tuple:
-        """``(min, max, boxes)`` of an integer label map (``_label_scan``),
+        """``(min, max, words)`` of an integer label map (``_label_scan``),
         computed on first use and kept, which is safe because ``data`` is
         locked."""
         if not self.is_label:
@@ -195,13 +195,16 @@ class Volume:
         return _label_scan(self.data)
 
     def box(self, labels) -> tuple | None:
-        """Union of the boxes of ``labels``, None when none is present."""
-        lo, hi, boxes = self.label_scan
-        if boxes is None:
+        """Per-axis slices enclosing every voxel of ``labels`` (values
+        outside 1..31 add nothing), None when none is present: along each
+        axis, the first to the last index whose scan word holds one of
+        their bits."""
+        lo, hi, words = self.label_scan
+        if words is None:
             raise ValueError(f"no boxes: label {lo if lo < 0 else hi} is outside 0..{_BOX_MAX}")
-        found = [boxes[v - 1] for v in labels if 0 < v <= len(boxes) and boxes[v - 1]]
-        return tuple(slice(min(b[a].start for b in found), max(b[a].stop for b in found))
-                     for a in range(3)) if found else None
+        bits = sum({1 << int(v) for v in labels if 0 < v <= _BOX_MAX})
+        hits = [np.flatnonzero(w & bits) for w in words]
+        return tuple(slice(int(h[0]), int(h[-1]) + 1) for h in hits) if hits[0].size else None
 
     def voxel_to_world(self, ijk) -> np.ndarray:
         """Map voxel indices to world mm.  Accepts shape (3,) or (N, 3)."""
@@ -236,24 +239,21 @@ _BOX_PLANES = 4  # planes per slab: the bit words of a slab are its only tempora
 
 
 def _label_scan(data: np.ndarray) -> tuple:
-    """``(min, max, boxes)`` of an integer array, ``(0, 0, ())`` when empty.
+    """``(min, max, words)`` of an integer array, min and max 0 when empty.
 
-    ``boxes[v - 1]`` is the tuple of per-axis slices enclosing every
-    voxel of value v, or None when v is absent, for v in 1..max; ``boxes``
-    is None when a value lies outside 0..31.  Each voxel of value v sets
-    bit v of a uint32 word, and the words OR-reduce onto each axis one
-    slab of planes at a time, the slab that also gives the min and max.
-    A value's extent along an axis runs from the first to the last index
-    whose word holds its bit.
+    ``words[a]`` is a read-only uint32 array over axis ``a`` whose bit v
+    is set where that index holds a voxel of value v; ``words`` is None
+    when a value lies outside 0..31.  Each voxel of value v sets bit v of
+    a uint32 word, and the words OR-reduce onto each axis one slab of
+    planes at a time, the slab that also gives the min and max.
     """
-    if not data.size:
-        return 0, 0, ()
+    words = [np.zeros(n, dtype=np.uint32) for n in data.shape]
     # walk axes from the slowest-varying in memory to the fastest
     perm = sorted(range(3), key=lambda a: -abs(data.strides[a]))
     view = data.transpose(perm)
-    proj = [np.zeros(n, dtype=np.uint32) for n in view.shape]
+    proj = [words[a] for a in perm]
     ranges = []
-    for a in range(0, view.shape[0], _BOX_PLANES):
+    for a in range(0, view.shape[0] if data.size else 0, _BOX_PLANES):
         slab = view[a:a + _BOX_PLANES]
         ranges.append((slab.min(), slab.max()))
         bits = np.left_shift(np.uint32(1), slab, dtype=np.uint32, casting="unsafe")
@@ -261,18 +261,13 @@ def _label_scan(data: np.ndarray) -> tuple:
         proj[0][a:a + _BOX_PLANES] = np.bitwise_or.reduce(rows, axis=1)
         proj[1] |= np.bitwise_or.reduce(rows, axis=0)
         proj[2] |= np.bitwise_or.reduce(bits, axis=(0, 1))
-    lo, hi = int(min(r[0] for r in ranges)), int(max(r[1] for r in ranges))
+    lo = int(min((r[0] for r in ranges), default=0))
+    hi = int(max((r[1] for r in ranges), default=0))
     if lo < 0 or hi > _BOX_MAX:
         return lo, hi, None
-    # has[c][n, b]: index n of view axis c holds value 1 + b
-    has = [(p[:, None] >> np.arange(1, hi + 1, dtype=np.uint32)) & 1 != 0 for p in proj]
-    first = [h.argmax(axis=0) for h in has]
-    stop = [len(h) - h[::-1].argmax(axis=0) for h in has]
-    boxes = [None] * hi
-    for b in np.flatnonzero(has[0].any(axis=0)):
-        boxes[b] = tuple(slice(int(first[c][b]), int(stop[c][b]))
-                         for c in (perm.index(axis) for axis in range(3)))
-    return lo, hi, tuple(boxes)
+    for w in words:
+        w.setflags(write=False)
+    return lo, hi, tuple(words)
 
 
 def _erode_6(mask: np.ndarray, steps: int = 1) -> np.ndarray:

@@ -212,44 +212,43 @@ def _snap_j(lms, lid, sp, c) -> int:
 
 
 def _check_phantom(vol: Volume, lms: LandmarkSet, sp: float, c: float) -> None:
-    """Independent audit of the painted labels against the rules."""
+    """Independent audit of the painted labels against the rules, read
+    from the labels' boxes; an absent label breaks none."""
     issues = validate_landmarks(lms, vol)
     if issues:
         raise PhantomError("landmark validation failed: " + "; ".join(issues))
-    data = vol.data
-    jgrid = np.arange(N)[None, :, None]
-    checks = [
-        # putamen may not extend anterior of its landmark slice
-        ((data == 10) & (jgrid > _snap_j(lms, 1, sp, c)), "left putamen anterior of #1"),
-        ((data == 11) & (jgrid > _snap_j(lms, 2, sp, c)), "right putamen anterior of #2"),
-        # accumbens may not extend posterior of its landmark slice
-        ((data == 6) & (jgrid < _snap_j(lms, 7, sp, c)), "left accumbens posterior of #7"),
-        ((data == 7) & (jgrid < _snap_j(lms, 8, sp, c)), "right accumbens posterior of #8"),
-        # third ventricle ends at the #9 slice
-        ((data == 4) & (jgrid > _snap_j(lms, 9, sp, c)), "third ventricle anterior of #9"),
-        # VDC parts sit strictly on their sides of the mammillary slice
-        ((data == 23) & (jgrid <= _snap_j(lms, 11, sp, c)), "left anterior VDC at/behind #11"),
-        ((data == 25) & (jgrid > _snap_j(lms, 11, sp, c)), "left posterior VDC anterior of #11"),
-        ((data == 24) & (jgrid <= _snap_j(lms, 12, sp, c)), "right anterior VDC at/behind #12"),
-        ((data == 26) & (jgrid > _snap_j(lms, 12, sp, c)), "right posterior VDC anterior of #12"),
-        # inferior horn lives strictly anterior of its landmark slice
-        ((data == 17) & (jgrid <= _snap_j(lms, 13, sp, c)), "left inferior horn at/behind #13"),
-        ((data == 18) & (jgrid <= _snap_j(lms, 14, sp, c)), "right inferior horn at/behind #14"),
-    ]
-    for mask, what in checks:
-        if mask.any():
+    # (label, landmark, start): a label with start None may not pass its
+    # landmark's slice j, one with start d may not begin before j + d
+    for label, lid, start, what in (
+            # putamen may not extend anterior of its landmark slice
+            (10, 1, None, "left putamen anterior of #1"),
+            (11, 2, None, "right putamen anterior of #2"),
+            # accumbens may not extend posterior of its landmark slice
+            (6, 7, 0, "left accumbens posterior of #7"),
+            (7, 8, 0, "right accumbens posterior of #8"),
+            # third ventricle ends at the #9 slice
+            (4, 9, None, "third ventricle anterior of #9"),
+            # VDC parts sit strictly on their sides of the mammillary slice
+            (23, 11, 1, "left anterior VDC at/behind #11"),
+            (25, 11, None, "left posterior VDC anterior of #11"),
+            (24, 12, 1, "right anterior VDC at/behind #12"),
+            (26, 12, None, "right posterior VDC anterior of #12"),
+            # inferior horn lives strictly anterior of its landmark slice
+            (17, 13, 1, "left inferior horn at/behind #13"),
+            (18, 14, 1, "right inferior horn at/behind #14")):
+        box, j = vol.box((label,)), _snap_j(lms, lid, sp, c)
+        if box and (box[1].stop - 1 > j if start is None else box[1].start < j + start):
             raise PhantomError(f"rule inconsistency: {what}")
 
-    # bilateral labels must sit clearly inside their hemisphere
+    # bilateral labels must sit clearly inside their hemisphere; x grows
+    # with i, as the spacing is positive
     plane_x = float(lms[10][0])
     xs = (np.arange(N, dtype=np.float64) - c) * sp - plane_x
-    left_ids = (1, 6, 8, 10, 12, 15, 17, 19, 21, 23, 25)
-    right_ids = (2, 7, 9, 11, 13, 16, 18, 20, 22, 24, 26)
-    left_cols = np.isin(data, left_ids).any(axis=(1, 2))
-    right_cols = np.isin(data, right_ids).any(axis=(1, 2))
-    if left_cols.any() and xs[left_cols].max() > -0.4 * sp:
+    left = vol.box((1, 6, 8, 10, 12, 15, 17, 19, 21, 23, 25))
+    right = vol.box((2, 7, 9, 11, 13, 16, 18, 20, 22, 24, 26))
+    if left and xs[left[0].stop - 1] > -0.4 * sp:
         raise PhantomError("left-hemisphere label too close to the midline")
-    if right_cols.any() and xs[right_cols].min() < 0.4 * sp:
+    if right and xs[right[0].start] < 0.4 * sp:
         raise PhantomError("right-hemisphere label too close to the midline")
 
 
@@ -317,9 +316,10 @@ def degrade_phantom(
     if not (float(amount).is_integer() and amount >= 1):  # refuses inf and nan too
         raise PhantomError(f"erosion amount must be a whole step count >= 1, got {amount}")
     steps = int(amount)
-    for lab in np.unique(data):
-        if lab == 0:
-            continue
-        m = data == lab
-        data[m & ~_erode_6(m, steps)] = 0
+    # each label eroded in its box, whose edge counts as outside, as the grid's does
+    for lab in range(1, v12.label_scan[1] + 1):
+        box = v12.box((lab,))
+        if box:
+            m = data[box] == lab
+            data[box][m & ~_erode_6(m, steps)] = 0
     return v12.with_data(data), lms

@@ -239,11 +239,10 @@ def separate_nacc_putamen(
                 f"anterior to #{post_id} y={y_post:g}")
         idx = np.nonzero(m)
         xs = _world_axis(vol12.affine, 0, *(a + s.start for a, s in zip(idx, box)))
-        js = np.unique(idx[1])
-        nx, _, nz = vol12.dims  # each slice's y at its in-plane centre
-        ys = _world_axis(vol12.affine, 1, (nx - 1) / 2, js + box[1].start, (nz - 1) / 2)
-        sep_per_slice = _separator_x(x_ant, y_ant, x_post, y_post, ys)
-        sep = sep_per_slice[np.searchsorted(js, idx[1])]
+        js = np.arange(box[1].start, box[1].stop)
+        nx, _, nz = vol12.dims  # each box slice's y at its in-plane centre
+        ys = _world_axis(vol12.affine, 1, (nx - 1) / 2, js, (nz - 1) / 2)
+        sep = _separator_x(x_ant, y_ant, x_post, y_post, ys)[idx[1]]
         nacc = np.abs(xs) < np.abs(sep)
         partial[box][tuple(a[nacc] for a in idx)] = (6, 7)[side]
     return partial

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Run one CLI pipeline with each of two source trees and require every
 # output except the manifests (which hold paths and times) to be equal
-# byte for byte: phantoms of seeds 3 and 5, clean and with boundary noise,
-# fuse, refine with and without --slice-adjust, evaluate to JSON and CSV,
+# byte for byte: phantoms of seeds 3 and 5, clean, with boundary noise and
+# eroded by 1 and 2 steps, fuse, refine with and without --slice-adjust
+# (and the 1-step erosion phantom by default), evaluate to JSON and CSV,
 # roundtrip with --out (its report and its printed means), and stats to
 # JSON and CSV on paired tables of 8 rows (exact null) and 25 (normal tail).
 # Copies of the phantom and of both refine inputs stored with the x axis
@@ -44,6 +45,14 @@ PY
       hoa phantom "s$seed.nii.gz" --seed "$seed"
       hoa phantom "s$seed-noisy.nii.gz" --seed "$seed" \
         --degrade boundary-noise --amount 0.05
+      for amount in 1 2; do
+        hoa phantom "s$seed-eroded$amount.nii.gz" --seed "$seed" \
+          --degrade erosion --amount "$amount"
+      done
+      hoa refine "s$seed-eroded1.nii.gz" "s$seed-eroded1-refined.nii.gz" \
+        --landmarks "s$seed.landmarks.json"
+      hoa evaluate "s$seed-eroded1-refined.nii.gz" "s$seed.nii.gz" \
+        --landmarks "s$seed.landmarks.json" --out "s$seed-eroded1-refined.json"
       hoa fuse "s$seed.nii.gz" "s$seed-fused.nii.gz"
       for input in "s$seed-fused" "s$seed-noisy"; do
         hoa refine "$input.nii.gz" "$input-refined.nii.gz" \

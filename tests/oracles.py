@@ -3,13 +3,17 @@
 Everything here is written the slow, obvious way: explicit loops,
 full pairwise distance matrices, and literal enumeration of sign
 assignments.  None of it shares code with the package beyond the
-Volume container.
+Volume container, except that the phantom audit reference checks the
+landmarks and raises as the package's audit does.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from hoarefine.labels import validate_landmarks
+from hoarefine.phantom import N, PhantomError
 
 
 def _snap(v):
@@ -183,3 +187,42 @@ def brute_wilcoxon(a, b):
         if abs(w - mu) >= dev - 1e-9:
             extreme += 1
     return w_plus, extreme / 2.0 ** n
+
+
+def mask_check_phantom(vol, lms, sp, c):
+    """The phantom audit the slow way: one whole-volume mask per rule and
+    per hemisphere, raising the package audit's messages."""
+    issues = validate_landmarks(lms, vol)
+    if issues:
+        raise PhantomError("landmark validation failed: " + "; ".join(issues))
+    data = vol.data
+
+    def snap_j(lid):
+        return _snap(lms[lid][1] / sp + c)
+
+    jgrid = np.arange(N)[None, :, None]
+    checks = [
+        ((data == 10) & (jgrid > snap_j(1)), "left putamen anterior of #1"),
+        ((data == 11) & (jgrid > snap_j(2)), "right putamen anterior of #2"),
+        ((data == 6) & (jgrid < snap_j(7)), "left accumbens posterior of #7"),
+        ((data == 7) & (jgrid < snap_j(8)), "right accumbens posterior of #8"),
+        ((data == 4) & (jgrid > snap_j(9)), "third ventricle anterior of #9"),
+        ((data == 23) & (jgrid <= snap_j(11)), "left anterior VDC at/behind #11"),
+        ((data == 25) & (jgrid > snap_j(11)), "left posterior VDC anterior of #11"),
+        ((data == 24) & (jgrid <= snap_j(12)), "right anterior VDC at/behind #12"),
+        ((data == 26) & (jgrid > snap_j(12)), "right posterior VDC anterior of #12"),
+        ((data == 17) & (jgrid <= snap_j(13)), "left inferior horn at/behind #13"),
+        ((data == 18) & (jgrid <= snap_j(14)), "right inferior horn at/behind #14"),
+    ]
+    for mask, what in checks:
+        if mask.any():
+            raise PhantomError(f"rule inconsistency: {what}")
+
+    plane_x = float(lms[10][0])
+    xs = (np.arange(N, dtype=np.float64) - c) * sp - plane_x
+    left_cols = np.isin(data, (1, 6, 8, 10, 12, 15, 17, 19, 21, 23, 25)).any(axis=(1, 2))
+    right_cols = np.isin(data, (2, 7, 9, 11, 13, 16, 18, 20, 22, 24, 26)).any(axis=(1, 2))
+    if left_cols.any() and xs[left_cols].max() > -0.4 * sp:
+        raise PhantomError("left-hemisphere label too close to the midline")
+    if right_cols.any() and xs[right_cols].min() < 0.4 * sp:
+        raise PhantomError("right-hemisphere label too close to the midline")

@@ -224,6 +224,15 @@ def test_volume_box_is_union_of_label_boxes():
     for labels in ((1,), (3, 4), (6,), (0,), ()):
         assert vol.box(labels) is None
     assert make_volume(np.zeros((2, 2, 2), dtype=np.uint8)).box((1,)) is None
+    # numpy scalar labels give the boxes of the same Python ints, up to bit 31
+    data[0, 6, 7], data[5, 0, 0], data[2, 3, 4] = 20, 31, 15
+    vol = make_volume(data)
+    for v in (np.int16(20), np.uint8(31), np.int64(15)):
+        assert vol.box((v,)) == vol.box((int(v),)) is not None
+    assert vol.box((np.int16(20), np.uint8(31), 2)) == vol.box((20, 31, 2))
+    # the scan's words are as locked as the data
+    with pytest.raises(ValueError, match="read-only"):
+        vol.label_scan[2][1][0] = 1
 
 
 def test_taxonomy_tag_survives_round_trip(tmp_path):

@@ -1,9 +1,12 @@
 """Synthetic phantom generation and controlled degradation."""
 
+import functools
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hoarefine import (
     DEGRADE_MODES,
@@ -17,6 +20,8 @@ from hoarefine import (
     validate_landmarks,
 )
 from hoarefine.phantom import N, _check_phantom, _fill
+
+from oracles import mask_check_phantom
 
 GOLDEN_SEED0 = "1d1323e9d5cc72fba08730d98151a12abf37774df7042e114c79993de5bcd3a7"
 
@@ -92,6 +97,39 @@ class TestOverrides:
         data[data == 7] = 11  # right putamen anterior of its landmark #2
         with pytest.raises(PhantomError, match="rule inconsistency: right putamen"):
             _check_phantom(vol.with_data(data), lms, 0.7, (N - 1) / 2.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _phantom(seed):
+    return generate_phantom(seed)
+
+
+def _audit(audit, vol, lms):
+    """The audit's message, or None when it passes."""
+    try:
+        audit(vol, lms, 0.7, (N - 1) / 2.0)
+    except PhantomError as exc:
+        return str(exc)
+    return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 15),
+       strays=st.lists(st.tuples(st.integers(0, N - 1), st.integers(0, N - 1),
+                                 st.integers(0, N - 1), st.integers(0, 26)),
+                       min_size=1, max_size=3))
+@example(seed=0, strays=[(70, 90, 50, 11)])  # right putamen far anterior
+@example(seed=0, strays=[(52, 50, 50, 1)])   # a left label right of the midline
+@example(seed=1, strays=[(50, 50, 50, 0)])   # background breaks no rule
+def test_audit_matches_mask_audit(seed, strays):
+    """Stray voxels planted in a phantom get the same verdict, message
+    included, from the box audit as from the whole-volume mask audit."""
+    vol, lms = _phantom(seed)
+    data = vol.data.copy()
+    for i, j, k, label in strays:
+        data[i, j, k] = label
+    planted = vol.with_data(data)
+    assert _audit(_check_phantom, planted, lms) == _audit(mask_check_phantom, planted, lms)
 
 
 class TestDegrade:
