@@ -403,8 +403,9 @@ def validate_landmarks(lms: LandmarkSet, vol: Volume | None = None) -> list[str]
     problems: list[str] = []
     if vol is not None:
         dims = np.asarray(vol.dims, dtype=np.float64)
-        for lid in lms.ids:
-            idx = vol.world_to_voxel(lms[lid])
+        # one affine inverse for the whole set; each row maps on its own
+        voxels = vol.world_to_voxel(np.reshape([lms[lid] for lid in lms.ids], (-1, 3)))
+        for lid, idx in zip(lms.ids, voxels):
             # voxel centers: anything in [-0.5, n-0.5) falls inside the grid
             if np.any(idx < -0.5) or np.any(idx >= dims - 0.5):
                 problems.append(

@@ -284,7 +284,7 @@ def degrade_phantom(
                  for lid in lms.ids}
         return v12, LandmarkSet(moved)
 
-    data = v12.data.copy()
+    data = v12.data.copy()  # the volume returned takes this array without a copy
     if mode == "boundary-noise":
         if not 0.0 <= amount <= 1.0:
             raise PhantomError("noise fraction must be in [0, 1]")
@@ -311,7 +311,7 @@ def degrade_phantom(
                 vals = vals[vals != data[tuple(ijk)]]
                 if vals.size:
                     data[tuple(ijk)] = vals[rng.integers(vals.size)]
-        return v12.with_data(data), lms
+        return Volume._own(data, v12.affine, taxonomy=v12.taxonomy), lms
 
     if not (float(amount).is_integer() and amount >= 1):  # refuses inf and nan too
         raise PhantomError(f"erosion amount must be a whole step count >= 1, got {amount}")
@@ -322,4 +322,4 @@ def degrade_phantom(
         if box:
             m = data[box] == lab
             data[box][m & ~_erode_6(m, steps)] = 0
-    return v12.with_data(data), lms
+    return Volume._own(data, v12.affine, taxonomy=v12.taxonomy), lms

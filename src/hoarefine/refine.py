@@ -41,7 +41,7 @@ from .labels import (
     MIDSAGITTAL_IDS,
     validate_labels,
 )
-from .nifti import Volume, _world_axis, reorient_to_canonical, round_half_away
+from .nifti import Volume, _halves, _world_axis, reorient_to_canonical, round_half_away
 
 
 class RuleGeometryError(Exception):
@@ -49,6 +49,9 @@ class RuleGeometryError(Exception):
 
 
 _NO_BOX = (slice(0, 0),) * 3  # stands in for the box of absent labels
+# planes per step of refine_full's start gather: its int16 temporaries stay
+# small, and so does the heap that glibc keeps for the second thread
+_GATHER_PLANES = 8
 
 _BOOL_SPELLINGS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
                    **dict.fromkeys(("0", "false", "no", "off"), False)}
@@ -163,7 +166,8 @@ def split_hemispheres(
     # Each slice takes the shift d whose tags match the previous
     # non-empty slice's tags at the most (i, k) positions; ties go to the
     # smaller |d|, then to the negative d.  Untagged positions hold 0 in
-    # ``prev`` and so never match.
+    # ``prev`` and so never match: shift d, tagging right (2) where
+    # s >= d * h, matches count(ge & right) + count(left) - count(ge & left).
     data, out, bilateral = vol12.data[box], hemi[box], list(BILATERAL_FUSED)
     prev = None
     for j in range(data.shape[1]):
@@ -173,15 +177,19 @@ def split_hemispheres(
         ijk = (ci + box[0].start, j + box[1].start, ck + box[2].start)
         xyz = np.stack([_world_axis(vol12.affine, c, *ijk) for c in range(3)], axis=1)
         s = plane.signed_distance(xyz)
-        best_key, best_tags = None, None
-        for d in shifts:
-            tags = np.where(s >= d * h, np.uint8(2), np.uint8(1))
-            agree = 0 if prev is None else np.count_nonzero(prev[ci, ck] == tags)
-            key = (agree, -abs(d), -d)
-            if best_key is None or key > best_key:
-                best_key, best_tags = key, tags
+        best = 0
+        if prev is not None and len(shifts) > 1:
+            tagged = prev[ci, ck]
+            left, right = tagged == 1, tagged == 2
+            n_left = np.count_nonzero(left)
+
+            def key(d):
+                ge = s >= d * h
+                agree = np.count_nonzero(ge & right) + n_left - np.count_nonzero(ge & left)
+                return agree, -abs(d), -d
+            best = max(shifts, key=key)
         prev = out[:, j, :]
-        prev[ci, ck] = best_tags
+        prev[ci, ck] = np.where(s >= best * h, np.uint8(2), np.uint8(1))
     return hemi
 
 
@@ -444,8 +452,17 @@ def refine_full(
     # group.  Fine ids fit one byte, so the working partial is uint8.
     fg = can.box(FUSED_LABELS) or _NO_BOX
     partial = np.zeros(data.shape, dtype=np.uint8, order=can.order)
-    partial[fg] = PASS_TABLE[hemi[fg], data[fg]]
-    del hemi  # each voxel's side is in its fine id from here on
+    # the start gather and the final cast run on the two halves of
+    # partial's slowest-varying axis, the first axis of ``slow``'s view
+    slow = np.transpose if can.order == "F" else np.asarray
+    p, h, d = (slow(a[fg]) for a in (partial, hemi, data))
+
+    def start(lo, hi):
+        for a in range(lo, hi, _GATHER_PLANES):
+            b = min(a + _GATHER_PLANES, hi)
+            p[a:b] = PASS_TABLE[h[a:b], d[a:b]]
+    _halves(p, start)
+    del hemi, h, p  # each voxel's side is in its fine id from here on
 
     partial = separate_nacc_putamen(can, lms, cfg, partial=partial)
     partial = apply_coronal_extents(partial, can, lms, cfg)
@@ -455,6 +472,9 @@ def refine_full(
     if not np.array_equal(partial[fg] != 0, data[fg] != 0):
         raise AssertionError("refinement changed the foreground mask")
 
-    # the int16 cast is a fresh array, so the volume takes it as it is
-    return Volume._own(amap.invert(partial).astype(np.int16), vol12.affine,
-                       taxonomy="fine26")
+    # the int16 output is laid out as ``astype`` lays out the stored-frame
+    # view of partial, a fresh array the volume takes as it is
+    out = np.empty_like(amap.invert(partial), dtype=np.int16)
+    o, p = slow(amap.apply(out)), slow(partial)
+    _halves(p, lambda lo, hi: np.copyto(o[lo:hi], p[lo:hi]))
+    return Volume._own(out, vol12.affine, taxonomy="fine26")

@@ -20,6 +20,7 @@ from hoarefine import (
     N_LANDMARKS,
     LabelError,
     LandmarkSet,
+    Volume,
     fuse_labels,
     parse_landmarks,
     validate_labels,
@@ -337,6 +338,25 @@ def test_validate_landmarks_flags(phantom0):
     pts[16] = np.array([500.0, 500.0, 500.0])
     issues = validate_landmarks(LandmarkSet(pts), vol)
     assert issues  # bounds and/or implausible distance
+
+
+def test_validate_landmarks_maps_the_set_in_one_call(phantom0, monkeypatch):
+    """The bounds check maps every landmark with one ``world_to_voxel``
+    call (one affine inverse), and each message holds that landmark's own
+    voxel index, as a one-point call gives it."""
+    vol, lms = phantom0
+    pts = {lid: lms[lid].copy() for lid in lms.ids}
+    pts[16] = np.array([500.0, -500.0, 0.5])
+    own = vol.world_to_voxel(pts[16])
+    calls = []
+    to_voxel = Volume.world_to_voxel
+    monkeypatch.setattr(Volume, "world_to_voxel",
+                        lambda self, xyz: calls.append(1) or to_voxel(self, xyz))
+    issues = validate_landmarks(LandmarkSet(pts), vol)
+    assert len(calls) == 1
+    assert (f"landmark 16 (PPF) outside volume bounds: voxel index "
+            f"{np.round(own, 2).tolist()}") in issues
+    assert validate_landmarks(LandmarkSet({}), vol) == []
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

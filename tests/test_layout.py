@@ -256,6 +256,22 @@ def test_refine_commutes_with_stored_orientation(tmp_path, perm, flips):
     assert (tmp_path / "out.nii.gz").read_bytes() == (tmp_path / "want.nii.gz").read_bytes()
 
 
+@pytest.mark.parametrize("base", ["C", "F"])
+@pytest.mark.parametrize("perm, flips", ORIENTATIONS[::7])
+def test_refine_output_strides_follow_the_stored_layout(base, perm, flips):
+    """refine_full writes its int16 output in halves into an array laid
+    out as ``astype`` lays out the stored-frame view of the canonical
+    uint8 partial: same strides, same ``order``."""
+    vol12, lms, _ = _dyadic_case()
+    stored = _stored(vol12, perm, flips)
+    stored = stored.with_data(np.asarray(stored.data, order=base))
+    canonical, amap = reorient_to_canonical(stored)
+    partial = np.zeros(canonical.dims, dtype=np.uint8, order=canonical.order)
+    out = refine_full(stored, lms).data
+    assert out.strides == amap.invert(partial).astype(np.int16).strides
+    assert out.flags.owndata and not out.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # ownership: who copies, who hands over
 

@@ -9,6 +9,8 @@ Each input is drawn in C order, in F order and as the strided
 layouts that refinement hands these kernels.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hoarefine import nifti
 from hoarefine.nifti import _erode_6, _label_scan
 from hoarefine.refine import _components_4, _dilate_3x3
 
@@ -122,6 +125,59 @@ def test_label_boxes_match_find_objects(data, layout):
     c_words = _label_scan(np.ascontiguousarray(held))[2]
     assert len(words) == len(c_words) == 3
     assert all(np.array_equal(a, b) for a, b in zip(words, c_words))
+
+
+def _brute_scan(data: np.ndarray) -> tuple:
+    """``(min, max, words)`` from whole-array reductions: min and max 0 when
+    empty, and words None when a value lies outside 0..31."""
+    lo, hi = (int(data.min()), int(data.max())) if data.size else (0, 0)
+    if lo < 0 or hi > 31:
+        return lo, hi, None
+    bits = np.left_shift(np.uint32(1), data.astype(np.uint32))
+    return lo, hi, tuple(np.bitwise_or.reduce(bits, axis=tuple(b for b in range(3) if b != a))
+                         for a in range(3))
+
+
+scan_maps = hnp.array_shapes(min_dims=3, max_dims=3, min_side=0, max_side=9).flatmap(
+    lambda s: st.sampled_from((np.int16, np.int32, np.uint8)).flatmap(
+        lambda dt: hnp.arrays(dt, s, elements=st.integers(
+            0 if np.dtype(dt).kind == "u" else -2, 40))))
+
+
+@PROPERTY
+@given(data=scan_maps, layout=st.sampled_from(LAYOUTS + ("flipped", "permuted")))
+@example(data=np.zeros((0, 3, 4), dtype=np.int16), layout="C")
+@example(data=np.zeros((3, 0, 4), dtype=np.int16), layout="F")
+@example(data=np.zeros((3, 4, 0), dtype=np.uint8), layout="permuted")
+@example(data=np.full((1, 1, 1), 7, dtype=np.int16), layout="flipped")
+@example(data=np.arange(3, dtype=np.int16).reshape(1, 3, 1), layout="F")
+@example(data=np.arange(3, dtype=np.int16).reshape(3, 1, 1) - 1, layout="C")
+@example(data=np.arange(30, 33, dtype=np.int32).reshape(3, 1, 1), layout="C")
+@example(data=np.arange(0, 32, dtype=np.uint8).reshape(4, 2, 4), layout="view")
+def test_label_scan_matches_brute_force(data, layout):
+    """The scan, which walks the two halves of the slowest-varying memory
+    axis (on two threads from ``_THREAD_VOXELS`` voxels, here forced down
+    to 0, and on one below), equals whole-array reductions in every
+    layout, an empty half included."""
+    if layout == "flipped":
+        held = _held_as(data, "F")[::-1, :, ::-1]
+        data = data[::-1, :, ::-1]
+    elif layout == "permuted":
+        held = _held_as(data, "F").transpose(1, 2, 0)
+        data = data.transpose(1, 2, 0)
+    else:
+        held = _held_as(data, layout)
+    want_lo, want_hi, want = _brute_scan(data)
+    for limit in (nifti._THREAD_VOXELS, 0):
+        with mock.patch.object(nifti, "_THREAD_VOXELS", limit):
+            lo, hi, words = _label_scan(held)
+        assert (lo, hi) == (want_lo, want_hi)
+        if want is None:
+            assert words is None
+            continue
+        assert [w.dtype for w in words] == [np.dtype(np.uint32)] * 3
+        assert all(not w.flags.writeable for w in words)
+        assert [w.tolist() for w in words] == [w.tolist() for w in want]
 
 
 @PROPERTY
