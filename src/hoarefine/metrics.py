@@ -440,11 +440,13 @@ def _separation_lines(vol: Volume, slice_axis: int, scan_axis: int,
     blk = np.asarray(vol.data)[box].transpose(order)  # (slice, scan, row)
     a_mask = blk == a_id
     b_mask = blk == b_id
-    # the labels' mean scan positions: exact integer sums, one division
+    # the labels' mean scan positions: exact integer sums, one division;
+    # each slice's total is the sum of its per-scan-position counts
     scan_idx = np.arange(origin[1], origin[1] + blk.shape[1])
+    a_rows, b_rows = a_mask.sum(axis=2), b_mask.sum(axis=2)
     with np.errstate(invalid="ignore", divide="ignore"):
-        mean_a = a_mask.sum(axis=2) @ scan_idx / a_mask.sum(axis=(1, 2))
-        mean_b = b_mask.sum(axis=2) @ scan_idx / b_mask.sum(axis=(1, 2))
+        mean_a = a_rows @ scan_idx / a_rows.sum(axis=1)
+        mean_b = b_rows @ scan_idx / b_rows.sum(axis=1)
     # first B voxel met scanning from the A side
     first = np.where((mean_a < mean_b)[:, None], b_mask.argmax(axis=1),
                      blk.shape[1] - 1 - b_mask[:, ::-1].argmax(axis=1)) + origin[1]
@@ -739,9 +741,15 @@ def evaluate_pair(pred26: Volume, gt26: Volume, lms: LandmarkSet,
                 continue
             report.rows.append(MetricRow(
                 "pasd", spec.region, spec.surface, bside.side, value))
+    # a label pair read along the same axes gives one line set, which
+    # NAcc posterior and Put anterior share, and so do VDC_A and VDC_P
+    lines = {}
     for spec in DEFAULT_BOUNDARIES:
         for bside in spec.sides:
-            agg = _line_metrics_for_boundary(pred_can, gt_can, spec, bside)
+            key = _line_geometry(spec, bside)
+            if key not in lines:
+                lines[key] = _line_metrics(pred_can, gt_can, *key)
+            agg = lines[key]
             if agg is None:
                 report.skipped.append(SkippedSide(
                     "lines", spec.region, spec.surface, bside.side,
@@ -755,23 +763,24 @@ def evaluate_pair(pred26: Volume, gt26: Volume, lms: LandmarkSet,
     return report
 
 
-def _line_metrics_for_boundary(pred_can, gt_can, spec, bside):
-    """Mean per-slice (MAE, sigma_y) for one boundary side, or None.
+def _line_geometry(spec, bside) -> tuple:
+    """(slice axis, scan axis, (A, B)) of a boundary side's lines.
 
-    Coronal boundaries are read in sagittal slices scanning along y;
-    lateral boundaries in coronal slices scanning along x.  A slice
-    contributes when both volumes yield a line and share rows.
+    Coronal boundaries are read in sagittal slices scanning along y from
+    the posterior label toward the anterior one; lateral boundaries in
+    coronal slices scanning along x from the side's label.
     """
-    if spec.surface in ("anterior", "posterior"):
-        slice_axis, scan_axis = 0, 1
-        # scan from the posterior label's side toward anterior
-        if spec.surface == "posterior":
-            pair = (bside.neighbor, bside.label)
-        else:
-            pair = (bside.label, bside.neighbor)
-    else:
-        slice_axis, scan_axis = 1, 0
-        pair = (bside.label, bside.neighbor)
+    if spec.surface == "posterior":
+        return 0, 1, (bside.neighbor, bside.label)
+    if spec.surface == "anterior":
+        return 0, 1, (bside.label, bside.neighbor)
+    return 1, 0, (bside.label, bside.neighbor)
+
+
+def _line_metrics(pred_can, gt_can, slice_axis, scan_axis, pair):
+    """Mean per-slice (MAE, sigma_y) of the lines between ``pair``, or
+    None.  A slice contributes when both volumes yield a line and share
+    rows."""
     box_p, box_g = pred_can.box(pair), gt_can.box(pair)
     if box_p is None or box_g is None:
         return None

@@ -165,7 +165,7 @@ def generate_phantom(spec: PhantomSpec | int = 0) -> tuple[Volume, LandmarkSet]:
         _fill(data, (i0, i1, j0, j_mb, k0, k1), ids[1], name + " posterior")
         _fill(data, (i0, i1, j_mb + 1, j1, k0, k1), ids[0], name + " anterior")
 
-    vol = Volume(data, affine, taxonomy="fine26")
+    vol = Volume._own(data, affine, taxonomy="fine26")
     _check_phantom(vol, lms, sp, c)
     return vol, lms
 

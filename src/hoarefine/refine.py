@@ -41,7 +41,7 @@ from .labels import (
     MIDSAGITTAL_IDS,
     validate_labels,
 )
-from .nifti import Volume, _halves, _world_axis, reorient_to_canonical, round_half_away
+from .nifti import Volume, _world_axis, reorient_to_canonical, round_half_away
 
 
 class RuleGeometryError(Exception):
@@ -49,9 +49,12 @@ class RuleGeometryError(Exception):
 
 
 _NO_BOX = (slice(0, 0),) * 3  # stands in for the box of absent labels
-# planes per step of refine_full's start gather: its int16 temporaries stay
-# small, and so does the heap that glibc keeps for the second thread
+# planes per step of refine_full's start lookup: its uint8 index stays small
 _GATHER_PLANES = 8
+# PASS_TABLE as one flat byte table: (tag, fused) sits at tag * _ROW + fused,
+# at most 2 * 13 + 12, so the index fits a uint8
+_ROW = PASS_TABLE.shape[1]
+_START = PASS_TABLE.astype(np.uint8).ravel()
 
 _BOOL_SPELLINGS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
                    **dict.fromkeys(("0", "false", "no", "off"), False)}
@@ -329,28 +332,42 @@ def split_lv_ih(
     cfg = cfg or RefinementConfig()
     partial = partial.copy(order="K")
     for side, box, m, (lm_id,) in _rule_sides(partial, vol12, 1, lms, cfg, ((13,), (14,))):
-        j_ih = coronal_slice_index(vol12, lms[lm_id]) - box[1].start  # box-local
+        j0 = max(coronal_slice_index(vol12, lms[lm_id]) - box[1].start + 1, 0)  # box-local
+        ik = m[:, j0:].any(axis=1)
+        if not ik.any():
+            continue  # no slice anterior of the landmark's holds the side
+        # crop to the side's own i and k range on those slices: raster order
+        # within the crop is the box's, so component ids, ties and centroids
+        # stay the same
+        (i0, i1), (k0, k1) = (np.flatnonzero(ik.any(axis=a))[[0, -1]] + (0, 1) for a in (1, 0))
+        m = m[i0:i1, j0:, k0:k1]
+        box = tuple(slice(b.start + a, b.start + a + n) for b, a, n in zip(box, (i0, j0, k0), m.shape))
         lm_x, _, lm_z = (float(v) for v in lms[lm_id])
+        # all slices labelled in one call: stacked along i with a zero row
+        # after each, so no component crosses a slice and the ids run slice
+        # by slice, each slice's in its own raster order
+        ni, nj, nk = m.shape
+        stack = np.zeros((nj, ni + 1, nk), dtype=bool)
+        stack[:, :ni] = m.transpose(1, 0, 2)
+        comps = _components_4(stack.reshape(-1, nk))[0].reshape(stack.shape)
+        wx, wz, last = _centroids_world(vol12, stack, comps, box)
         prev_ih = None
-        # slices outside the box are empty: the chain has not started or ends
-        for j in range(max(j_ih + 1, 0), m.shape[1]):
-            sl = m[:, j, :]
-            if not sl.any():
+        for j in range(nj):
+            lo, hi = last[j - 1] if j else 0, last[j]  # the slice's ids: lo + 1 .. hi
+            if lo == hi:
                 if prev_ih is not None:
                     break  # a gap breaks 26-connectivity
                 continue
-            comps, n = _components_4(sl)
+            sl = comps[j, :ni]
             if prev_ih is None:
-                ids = np.arange(1, n + 1)
-                wx, wz = _centroids_world(vol12, comps, ids, box, j)
-                pick = ids[np.argmin(np.hypot(wx - lm_x, wz - lm_z))]
+                ids = np.arange(lo + 1, hi + 1)
+                pick = ids[np.argmin(np.hypot(wx[ids - 1] - lm_x, wz[ids - 1] - lm_z))]
             else:
-                reach = _dilate_3x3(prev_ih)
-                ids = np.unique(comps[reach & (comps > 0)])
+                ids = np.unique(sl[_dilate_3x3(prev_ih) & (sl > 0)])
                 if ids.size == 0:
                     break
-                pick = ids[np.argmin(_centroids_world(vol12, comps, ids, box, j)[1])]
-            prev_ih = comps == pick
+                pick = ids[np.argmin(wz[ids - 1])]
+            prev_ih = sl == pick
             partial[box][:, j, :][prev_ih] = (17, 18)[side]
     return partial
 
@@ -407,18 +424,25 @@ def _dilate_3x3(mask: np.ndarray) -> np.ndarray:
     return rows[:-2] | rows[1:-1] | rows[2:]
 
 
-def _centroids_world(vol12: Volume, comps, ids, box, j: int) -> tuple:
-    """World (x, z) centroids, each of shape (len(ids),), of components
-    ``ids`` of ``comps``, the crop of ``box``-local slice j.
+def _centroids_world(vol12: Volume, stack, comps, box) -> tuple:
+    """``(x, z, last)``: the world x and z of each component's centroid,
+    indexed by id - 1, and the last id of each slice.  ``comps`` labels
+    ``stack``, the ``box``-local slices stacked (slice, i, k), with ids
+    that run slice by slice.
 
     The index sums, box offset included, are integers, exact in float64.
     """
-    ii, kk = np.nonzero(comps)
-    lab = comps[ii, kk]
-    count = np.bincount(lab)[ids]
-    ci = np.bincount(lab, weights=ii + box[0].start)[ids] / count
-    ck = np.bincount(lab, weights=kk + box[2].start)[ids] / count
-    return tuple(_world_axis(vol12.affine, c, ci, j + box[1].start, ck) for c in (0, 2))
+    at = np.flatnonzero(stack)
+    lab = comps.ravel()[at] - 1
+    jj, at = np.divmod(at, stack[0].size)
+    ii, kk = np.divmod(at, stack.shape[2])
+    count = np.bincount(lab)
+    cj = np.empty(count.size, dtype=np.int64)
+    cj[lab] = jj  # each component's slice, non-decreasing in its id
+    ci = np.bincount(lab, weights=ii + box[0].start) / count
+    ck = np.bincount(lab, weights=kk + box[2].start) / count
+    world = (_world_axis(vol12.affine, c, ci, cj + box[1].start, ck) for c in (0, 2))
+    return *world, np.searchsorted(cj, np.arange(len(stack)), "right")
 
 
 def refine_full(
@@ -452,17 +476,18 @@ def refine_full(
     # group.  Fine ids fit one byte, so the working partial is uint8.
     fg = can.box(FUSED_LABELS) or _NO_BOX
     partial = np.zeros(data.shape, dtype=np.uint8, order=can.order)
-    # the start gather and the final cast run on the two halves of
-    # partial's slowest-varying axis, the first axis of ``slow``'s view
+    # the start lookup walks slabs of partial's slowest-varying axis, the
+    # first axis of ``slow``'s view, each through one uint8 index
     slow = np.transpose if can.order == "F" else np.asarray
     p, h, d = (slow(a[fg]) for a in (partial, hemi, data))
-
-    def start(lo, hi):
-        for a in range(lo, hi, _GATHER_PLANES):
-            b = min(a + _GATHER_PLANES, hi)
-            p[a:b] = PASS_TABLE[h[a:b], d[a:b]]
-    _halves(p, start)
-    del hemi, h, p  # each voxel's side is in its fine id from here on
+    idx = np.empty((min(_GATHER_PLANES, len(p)), *p.shape[1:]), dtype=np.uint8)
+    for a in range(0, len(p), _GATHER_PLANES):
+        b = min(a + _GATHER_PLANES, len(p))
+        i = idx[:b - a]
+        np.multiply(h[a:b], _ROW, out=i)
+        np.add(i, d[a:b], out=i, dtype=np.uint8, casting="unsafe")
+        np.take(_START, i, out=p[a:b], mode="clip")
+    del hemi, h, p, idx  # each voxel's side is in its fine id from here on
 
     partial = separate_nacc_putamen(can, lms, cfg, partial=partial)
     partial = apply_coronal_extents(partial, can, lms, cfg)
@@ -472,9 +497,6 @@ def refine_full(
     if not np.array_equal(partial[fg] != 0, data[fg] != 0):
         raise AssertionError("refinement changed the foreground mask")
 
-    # the int16 output is laid out as ``astype`` lays out the stored-frame
-    # view of partial, a fresh array the volume takes as it is
-    out = np.empty_like(amap.invert(partial), dtype=np.int16)
-    o, p = slow(amap.apply(out)), slow(partial)
-    _halves(p, lambda lo, hi: np.copyto(o[lo:hi], p[lo:hi]))
-    return Volume._own(out, vol12.affine, taxonomy="fine26")
+    # a fresh int16 array laid out as the stored-frame view of partial
+    return Volume._own(amap.invert(partial).astype(np.int16), vol12.affine,
+                       taxonomy="fine26")

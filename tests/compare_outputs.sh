@@ -9,7 +9,11 @@
 # Copies of the phantom and of both refine inputs stored with the x axis
 # reversed (LAS) are written with each tree's own read_volume and
 # write_volume; each LAS input is refined, and that LAS prediction is
-# evaluated against the LAS phantom to JSON and CSV.
+# evaluated against the LAS phantom to JSON and CSV.  The seed-3 phantom
+# and its boundary-noise fusion are also resampled (nearest neighbour, same
+# field of view) to 260x311x260, the size from which the label scan runs on
+# two threads; that input and its LAS copy are refined with and without
+# --slice-adjust and evaluated against the resampled phantom to JSON and CSV.
 #
 # usage: tests/compare_outputs.sh BASE_SRC HEAD_SRC [WORKDIR]
 #   BASE_SRC, HEAD_SRC  the src directories of the two trees
@@ -39,6 +43,21 @@ affine = vol.affine.copy()
 affine[:3, 3] += affine[:3, 0] * (vol.dims[0] - 1)
 affine[:3, 0] = -affine[:3, 0]
 write_volume(Volume(vol.data[::-1], affine, taxonomy=vol.taxonomy), sys.argv[2])
+PY
+    }
+    big() {  # big IN OUT: nearest-neighbour resample to 260x311x260, same field of view
+      PYTHONPATH="$src" python - "$1" "$2" <<'PY'
+import sys
+import numpy as np
+from hoarefine.nifti import Volume, read_volume, write_volume
+vol = read_volume(sys.argv[1])
+dims = np.array((260, 311, 260))
+sp = np.diag(vol.affine)[:3] * np.array(vol.dims) / dims
+affine = np.diag([*sp, 1.0])
+affine[:3, 3] = vol.affine[:3, 3] + (sp - np.diag(vol.affine)[:3]) / 2.0
+# the source voxel holding each output voxel's centre
+src = [(2 * np.arange(d) + 1) * n // (2 * d) for d, n in zip(dims, vol.dims)]
+write_volume(Volume(vol.data[np.ix_(*src)], affine, taxonomy=vol.taxonomy), sys.argv[2])
 PY
     }
     for seed in 3 5; do
@@ -92,6 +111,21 @@ PY
         hoa stats "s$seed-a$n.csv" "s$seed-b$n.csv" --out "s$seed-stats$n.json"
         hoa stats "s$seed-a$n.csv" "s$seed-b$n.csv" --format csv \
           --out "s$seed-stats$n.csv"
+      done
+    done
+    big s3.nii.gz s3-big.nii.gz
+    big s3-noisy.nii.gz s3-noisy-big.nii.gz
+    las s3-big.nii.gz s3-big-las.nii.gz
+    las s3-noisy-big.nii.gz s3-noisy-big-las.nii.gz
+    for stored in "" -las; do
+      for flag in "" --slice-adjust; do
+        pred="s3-noisy-big$stored-refined${flag:+-adjusted}"
+        hoa refine "s3-noisy-big$stored.nii.gz" "$pred.nii.gz" \
+          --landmarks s3.landmarks.json $flag
+        hoa evaluate "$pred.nii.gz" "s3-big$stored.nii.gz" \
+          --landmarks s3.landmarks.json --out "$pred.json"
+        hoa evaluate "$pred.nii.gz" "s3-big$stored.nii.gz" \
+          --landmarks s3.landmarks.json --format csv --out "$pred.csv"
       done
     done
   )

@@ -1,10 +1,10 @@
-"""The two-thread split of whole-volume passes: ``nifti._halves`` runs the
+"""The two-thread split of the label scan: ``nifti._halves`` runs the
 second half of an array's first axis on a new thread when the array holds
 at least ``_THREAD_VOXELS`` elements, joins it on every exit path and
 raises a worker's exception in the caller; ``refine_full`` and
-``evaluate_pair``, which use it, give the same bytes either way and leave
-no thread behind.  Most tests here lower the threshold to 0, so the 96^3
-phantom takes the threaded path too."""
+``evaluate_pair``, which run the scan, give the same bytes either way and
+leave no thread behind.  Most tests here lower the threshold to 0, so the
+96^3 phantom takes the threaded path too."""
 
 import threading
 import time
@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from hoarefine import RefinementConfig, evaluate_pair, fuse_labels, nifti, refine, refine_full
+from hoarefine import RefinementConfig, evaluate_pair, fuse_labels, nifti, refine_full
 from hoarefine.nifti import _halves
 
 
@@ -106,8 +106,8 @@ def test_refine_and_evaluate_give_the_same_bytes_on_two_threads(phantom0, monkey
 
 @pytest.fixture
 def failing_worker(threaded, monkeypatch):
-    """Every ``_halves`` call, in the scan and in refine, raises ``boom``
-    from its worker thread."""
+    """Every ``_halves`` call, the scan's, raises ``boom`` from its worker
+    thread."""
     boom = Boom("worker")
     real = nifti._halves
 
@@ -119,7 +119,6 @@ def failing_worker(threaded, monkeypatch):
         return real(a, guarded)
 
     monkeypatch.setattr(nifti, "_halves", halves)
-    monkeypatch.setattr(refine, "_halves", halves)
     return boom
 
 

@@ -22,7 +22,10 @@ from hoarefine import (
     refine_full,
     reorient_to_canonical,
 )
+from hoarefine.labels import PASS_TABLE
 from hoarefine.refine import (
+    _ROW,
+    _START,
     apply_coronal_extents,
     coronal_slice_index,
     separate_nacc_putamen,
@@ -128,6 +131,40 @@ class TestSplitHemispheres:
         xyz = vol.voxel_to_world(np.stack(moved, axis=1).astype(float))
         # shifts are capped at 2 voxel widths from the plane
         assert np.all(np.abs(plane.signed_distance(xyz)) <= 2.0 + 1e-9)
+
+
+    @pytest.mark.parametrize("shear", [0.5, -0.5])
+    def test_slice_adjust_on_dyadic_thresholds(self, shear):
+        """Voxel x = 0.5 i + shear * j - 5 and the thresholds d * h (h =
+        0.5) are exact in float64, so voxels sit exactly on every s = d * h.
+        The shear moves the previous slice's dividing line by a voxel
+        width, so shifts of 1 and 2 win, and some slices tie on agreement
+        between shifts other than 0.  The split equals a per-shift count of
+        agreement written out here, voxel by voxel."""
+        shifts, h = (-2, -1, 0, 1, 2), 0.5
+        data = (np.random.default_rng(1).random((21, 8, 2)) < 0.6).astype(np.int16)
+        affine = np.array([[h, shear, 0, -5.0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        got = split_hemispheres(Volume(data, affine), Plane(np.zeros(3), np.array([1.0, 0, 0])),
+                                RefinementConfig(slice_adjust=True))
+        want = np.zeros(data.shape, dtype=np.uint8)
+        prev, picks, ties, on_threshold = None, [], [], set()
+        for j in range(data.shape[1]):
+            x = {(i, k): h * i + shear * j - 5.0 for i, k in zip(*np.nonzero(data[:, j, :]))}
+            on_threshold |= {d for d in shifts if d * h in x.values()}
+            best = 0
+            if prev is not None:
+                agree = {d: sum((prev[v] == 2 and xv >= d * h) or (prev[v] == 1 and xv < d * h)
+                                for v, xv in x.items()) for d in shifts}
+                ties.append({d for d in shifts if agree[d] == max(agree.values())})
+                best = max(shifts, key=lambda d: (agree[d], -abs(d), -d))
+            picks.append(best)
+            for v, xv in x.items():
+                want[v[0], j, v[1]] = 2 if xv >= best * h else 1
+            prev = want[:, j, :]
+        assert on_threshold == set(shifts)
+        assert {abs(d) for d in picks} == {0, 1, 2}
+        assert any(len(t) > 1 and 0 not in t for t in ties)
+        assert np.array_equal(got, want)
 
 
 class TestNaccPutamenSeparator:
@@ -287,6 +324,15 @@ class TestSplitLvIh:
         out = split_lv_ih(start_partial(vol, hemi), vol, LandmarkSet({}),
                           RefinementConfig(partial_rules=True))
         assert out[2, 4, 1] == 2
+
+
+def test_start_table_is_pass_table_flat():
+    """refine_full starts each voxel from the byte at tag * _ROW + fused,
+    which holds PASS_TABLE[tag, fused] for every tag and fused id."""
+    assert _START.dtype == np.uint8 and _START.size == 3 * _ROW <= 256
+    for tag in range(3):
+        for fused in range(_ROW):
+            assert _START[tag * _ROW + fused] == PASS_TABLE[tag, fused]
 
 
 class TestRefineFull:

@@ -140,6 +140,29 @@ def test_split_lv_ih_matches_reference(shape, seed, density, partial_rules, pres
                  _outcome(refine_mod.split_lv_ih, partial, vol, lms, cfg))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_split_lv_ih_crop_edges_match_reference(seed):
+    """Each side's chain runs in the crop of its own i and k range, here
+    strictly inside the ventricle box: components on the crop's edges,
+    where the 3x3 reach and the centroids meet the border, give the
+    reference's bytes."""
+    rng = np.random.default_rng(seed)
+    shape = (16, 9, 12)
+    data = np.zeros(shape, dtype=np.int16)
+    hemi = np.zeros(shape, dtype=np.uint8)
+    for tag, ii, kk in ((1, slice(1, 7), slice(3, 10)), (2, slice(9, 15), slice(0, 6))):
+        blob = rng.random(data[ii, :, kk].shape) < 0.45
+        data[ii, :, kk][blob] = 1
+        hemi[ii, :, kk][blob] = tag
+    vol = make_volume(data)
+    lms = LandmarkSet({13: np.array([3.0, rng.uniform(-1.0, 3.0), 6.0]),
+                       14: np.array([12.0, rng.uniform(-1.0, 3.0), 2.0])})
+    partial = start_partial(vol, hemi)
+    got = refine_mod.split_lv_ih(partial, vol, lms)
+    assert np.isin(got, (17, 18)).any()
+    _assert_same(ref.split_lv_ih(partial, vol, lms, hemi), got)
+
+
 def test_refine_full_calls_each_stage_once(monkeypatch, phantom0):
     # external tracing wraps these module attributes by name and counts a
     # rule stage's moves by diffing its input partial (separate_nacc_putamen's
