@@ -191,13 +191,14 @@ def _surface_voxels(can: Volume, spec: BoundarySpec, lms: LandmarkSet,
     with_neighbor = can.label_scan[2][1] & (1 << bside.neighbor) != 0
     mask = (data[box] == bside.label) & with_neighbor[box[1]][None, :, None]
     ii = np.arange(box[0].start, box[0].stop)
-    absx = np.abs(_world_axis(can.affine, 0, ii, 0, 0))[:, None, None]
+    x = _world_axis(can.affine, 0, ii, 0, 0)[:, None, None]
+    lateral = -x if bside.side == "left" else x  # RAS: the left side lies toward -x
     # per (j, k) row, the label voxel nearest the separator (lowest i on
     # ties): the most lateral one of a medial structure and vice versa
     if _is_medial(bside):
-        pick = np.where(mask, absx, -np.inf).argmax(axis=0)
+        pick = np.where(mask, lateral, -np.inf).argmax(axis=0)
     else:
-        pick = np.where(mask, absx, np.inf).argmin(axis=0)
+        pick = np.where(mask, lateral, np.inf).argmin(axis=0)
     jj, kk = np.nonzero(mask.any(axis=0))
     if jj.size == 0:
         raise MetricUndefinedError(
@@ -215,7 +216,8 @@ def extract_protocol_surface(gt: Volume, spec: BoundarySpec, lms: LandmarkSet,
     (shifted one slice toward the structure for exclusive boundaries).
     Lateral surfaces are, per coronal slice containing both the label
     and its neighbor, the row-wise label voxel closest to the separator:
-    the most lateral voxel of a medial structure and vice versa.
+    the most lateral voxel of a medial structure and vice versa, lateral
+    being -x on the left and +x on the right, not away from world x = 0.
     """
     can, _ = reorient_to_canonical(gt)
     return can.voxel_to_world(_surface_voxels(can, spec, lms, side))

@@ -41,7 +41,6 @@ import gzip
 import os
 import stat
 import struct
-import threading
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -155,6 +154,8 @@ class Volume:
         affine = np.array(affine, dtype=np.float64)
         if affine.shape != (4, 4):
             raise ValueError(f"affine must be 4x4, got {affine.shape}")
+        if not np.isfinite(affine).all():
+            raise ValueError(f"affine is not finite: {affine.tolist()}")
         if abs(np.linalg.det(affine[:3, :3])) <= 1e-12:
             raise ValueError("affine linear part is singular")
         data.setflags(write=False)
@@ -235,43 +236,8 @@ def _map_rows(affine: np.ndarray, pts) -> np.ndarray:
     return np.stack([_world_axis(affine, c, i, j, k) for c in range(3)], axis=-1)
 
 
-# passes over fewer voxels run both halves on the calling thread: at 96^3
-# a second thread cost more than it saved (on 2 cores the scan took 3.7 ms, not 1.5)
-_THREAD_VOXELS = 1 << 22
-
-
-def _halves(a: np.ndarray, fn) -> tuple:
-    """``(fn(0, n // 2), fn(n // 2, n))`` over the first axis of ``a``, n
-    long.  When ``a`` holds at least ``_THREAD_VOXELS`` elements the second
-    half runs on a new thread, joined on every exit path, and an exception
-    either half raises reaches the caller; numpy's large kernels release
-    the GIL, so the halves of a whole-volume pass run on two cores."""
-    n = len(a)
-    mid, second = n // 2, {}
-    if a.size < _THREAD_VOXELS:
-        return fn(0, mid), fn(mid, n)
-
-    def run():
-        try:
-            second["value"] = fn(mid, n)
-        except BaseException as exc:
-            second["error"] = exc
-
-    worker = threading.Thread(target=run)
-    worker.start()
-    try:
-        first = fn(0, mid)
-    finally:
-        worker.join()
-    if "error" in second:
-        raise second.pop("error")
-    return first, second["value"]
-
-
 _BOX_MAX = 31  # bit v of a uint32 word marks value v, so boxes cover 0..31
-# planes per slab and half: the bit words of the two halves' slabs are the
-# scan's only temporaries
-_BOX_PLANES = 2
+_BOX_PLANES = 2  # planes per slab: a slab's bit words are the scan's only temporary
 
 
 def _label_scan(data: np.ndarray) -> tuple:
@@ -281,38 +247,29 @@ def _label_scan(data: np.ndarray) -> tuple:
     is set where that index holds a voxel of value v; ``words`` is None
     when a value lies outside 0..31.  Each voxel of value v sets bit v of
     a uint32 word, and the words OR-reduce onto each axis one slab of
-    planes at a time, the slab that also gives the min and max.  The two
-    halves of the slowest-varying memory axis are scanned side by side.
+    planes of the slowest-varying memory axis at a time, the slab that
+    also gives the min and max.
     """
     # walk axes from the slowest-varying in memory to the fastest
     perm = sorted(range(3), key=lambda a: -abs(data.strides[a]))
     view = data.transpose(perm)
-    (ranges, proj), (more, other) = _halves(view, functools.partial(_scan_planes, view))
-    ranges += more
-    proj = (np.concatenate((proj[0], other[0])), proj[1] | other[1], proj[2] | other[2])
+    words = [np.zeros(n, dtype=np.uint32) for n in view.shape]
+    ranges = []
+    for a in range(0, len(view) if view.size else 0, _BOX_PLANES):
+        slab = view[a:a + _BOX_PLANES]
+        ranges.append((slab.min(), slab.max()))
+        bits = np.left_shift(np.uint32(1), slab, dtype=np.uint32, casting="unsafe")
+        rows = np.bitwise_or.reduce(bits, axis=2)
+        words[0][a:a + _BOX_PLANES] = np.bitwise_or.reduce(rows, axis=1)
+        words[1] |= np.bitwise_or.reduce(rows, axis=0)
+        words[2] |= np.bitwise_or.reduce(bits, axis=(0, 1))
     lo = int(min((r[0] for r in ranges), default=0))
     hi = int(max((r[1] for r in ranges), default=0))
     if lo < 0 or hi > _BOX_MAX:
         return lo, hi, None
-    for w in proj:
+    for w in words:
         w.setflags(write=False)
-    return lo, hi, tuple(proj[perm.index(a)] for a in range(3))
-
-
-def _scan_planes(view: np.ndarray, start: int, stop: int) -> tuple:
-    """``(ranges, words)`` of ``view[start:stop]``: the (min, max) of each
-    slab, and the bit words over its three axes."""
-    words = [np.zeros(n, dtype=np.uint32) for n in (stop - start, *view.shape[1:])]
-    ranges = []
-    for a in range(start, stop if view.size else start, _BOX_PLANES):
-        slab = view[a:min(a + _BOX_PLANES, stop)]
-        ranges.append((slab.min(), slab.max()))
-        bits = np.left_shift(np.uint32(1), slab, dtype=np.uint32, casting="unsafe")
-        rows = np.bitwise_or.reduce(bits, axis=2)
-        words[0][a - start:a - start + _BOX_PLANES] = np.bitwise_or.reduce(rows, axis=1)
-        words[1] |= np.bitwise_or.reduce(rows, axis=0)
-        words[2] |= np.bitwise_or.reduce(bits, axis=(0, 1))
-    return ranges, words
+    return lo, hi, tuple(words[perm.index(a)] for a in range(3))
 
 
 def _erode_6(mask: np.ndarray, steps: int = 1) -> np.ndarray:

@@ -234,9 +234,10 @@ def separate_nacc_putamen(
     Per hemisphere and coronal slice, a vertical separator sits at the
     world x interpolated between the anterior (#3/#4) and posterior
     (#5/#6) contact landmarks by the slice's y, clamped to the nearer
-    landmark outside their span.  Voxels more medial than the separator
-    (|x| < |separator x|) become accumbens, the rest putamen.  Each side
-    reads its voxels from ``partial``, where they hold putamen (10/11).
+    landmark outside their span.  Voxels medial of the separator (x above
+    it on the left, below it on the right, wherever the subject sits in
+    the world) become accumbens, the rest putamen.  Each side reads its
+    voxels from ``partial``, where they hold putamen (10/11).
     """
     cfg = cfg or RefinementConfig()
     partial = partial.copy(order="K")
@@ -254,7 +255,7 @@ def separate_nacc_putamen(
         nx, _, nz = vol12.dims  # each box slice's y at its in-plane centre
         ys = _world_axis(vol12.affine, 1, (nx - 1) / 2, js, (nz - 1) / 2)
         sep = _separator_x(x_ant, y_ant, x_post, y_post, ys)[idx[1]]
-        nacc = np.abs(xs) < np.abs(sep)
+        nacc = xs > sep if side == 0 else xs < sep  # medial: toward +x on the left
         partial[box][tuple(a[nacc] for a in idx)] = (6, 7)[side]
     return partial
 

@@ -11,9 +11,9 @@
 # write_volume; each LAS input is refined, and that LAS prediction is
 # evaluated against the LAS phantom to JSON and CSV.  The seed-3 phantom
 # and its boundary-noise fusion are also resampled (nearest neighbour, same
-# field of view) to 260x311x260, the size from which the label scan runs on
-# two threads; that input and its LAS copy are refined with and without
-# --slice-adjust and evaluated against the resampled phantom to JSON and CSV.
+# field of view) to 260x311x260, the size of the benchmark's subjects; that
+# input and its LAS copy are refined with and without --slice-adjust and
+# evaluated against the resampled phantom to JSON and CSV.
 #
 # usage: tests/compare_outputs.sh BASE_SRC HEAD_SRC [WORKDIR]
 #   BASE_SRC, HEAD_SRC  the src directories of the two trees

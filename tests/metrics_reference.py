@@ -69,7 +69,8 @@ def extract_protocol_surface(gt: Volume, spec: BoundarySpec, lms: LandmarkSet,
     (shifted one slice toward the structure for exclusive boundaries).
     Lateral surfaces are, per coronal slice containing both the label
     and its neighbor, the row-wise label voxel closest to the separator:
-    the most lateral voxel of a medial structure and vice versa.
+    the most lateral voxel of a medial structure and vice versa, lateral
+    being -x on the left and +x on the right.
     """
     bside = spec.side(side)
     can, _ = reorient_to_canonical(gt)
@@ -101,8 +102,8 @@ def extract_protocol_surface(gt: Volume, spec: BoundarySpec, lms: LandmarkSet,
             continue
         for k in np.unique(np.nonzero(sl_label)[1]):
             col = np.nonzero(sl_label[:, k])[0]
-            absx = np.abs(xs_axis[col])
-            pick = col[np.argmax(absx)] if _is_medial(bside) else col[np.argmin(absx)]
+            lateral = -xs_axis[col] if side == "left" else xs_axis[col]
+            pick = col[np.argmax(lateral)] if _is_medial(bside) else col[np.argmin(lateral)]
             pts.append((pick, j, int(k)))
     if not pts:
         raise MetricUndefinedError(

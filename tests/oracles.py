@@ -77,8 +77,8 @@ def _brute_surface(gt, spec, lms, side):
             col = [i for i in range(nx) if sl[i, k] == bs.label]
             if not col:
                 continue
-            absx = [abs(o[0] + sp[0] * i) for i in col]
-            pick = col[absx.index(max(absx) if medial else min(absx))]
+            lateral = [(o[0] + sp[0] * i) * (-1 if side == "left" else 1) for i in col]
+            pick = col[lateral.index(max(lateral) if medial else min(lateral))]
             pts.append(_world(gt, pick, j, k))
     return np.asarray(pts) if pts else None
 

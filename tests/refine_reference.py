@@ -182,8 +182,9 @@ def separate_nacc_putamen(
     Per hemisphere and coronal slice, a vertical separator sits at the
     world x interpolated between the anterior (#3/#4) and posterior
     (#5/#6) contact landmarks by the slice's y, clamped to the nearer
-    landmark outside their span.  Voxels more medial than the separator
-    (|x| < |separator x|) become accumbens, the rest putamen.
+    landmark outside their span.  Voxels medial of the separator (x above
+    it on the left, below it on the right) become accumbens, the rest
+    putamen.
     """
     cfg = _conventions(cfg)
     data = vol12.data
@@ -209,7 +210,7 @@ def separate_nacc_putamen(
         sep_per_slice = _separator_x(cfg, x_ant, y_ant, x_post, y_post,
                                      _slice_center_y(vol12, js))
         sep = sep_per_slice[np.searchsorted(js, idx[1])]
-        nacc = np.abs(xs) < np.abs(sep)
+        nacc = xs > sep if nacc_id == 6 else xs < sep  # left medial is toward +x
         vals = np.where(nacc, np.int16(nacc_id), np.int16(put_id))
         partial[idx] = vals
     return partial

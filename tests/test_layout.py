@@ -4,23 +4,26 @@ NIfTI stores voxels in Fortran order and ``read_volume`` keeps that
 order, while volumes built in memory are usually C-ordered.  Every
 kernel must give the same result whatever the memory layout of its
 inputs, and refinement must commute with the axis permutation and
-flips that a volume is stored under.
+flips that a volume is stored under.  Where the subject sits in the
+world changes no result either.
 """
 
 import functools
 import itertools
 import tempfile
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hoarefine import (
     FINE_LABELS,
+    LandmarkSet,
     PhantomSpec,
     RefinementConfig,
     Volume,
@@ -254,6 +257,41 @@ def test_refine_commutes_with_stored_orientation(tmp_path, perm, flips):
     write_volume(refine_full(stored, lms), tmp_path / "out.nii.gz")
     write_volume(_stored(canonical, perm, flips), tmp_path / "want.nii.gz")
     assert (tmp_path / "out.nii.gz").read_bytes() == (tmp_path / "want.nii.gz").read_bytes()
+
+
+def _translated(vol, dx):
+    affine = vol.affine.copy()
+    affine[:3, 3] += dx
+    return Volume(vol.data, affine, taxonomy=vol.taxonomy)
+
+
+@functools.lru_cache(maxsize=None)
+def _dyadic_report():
+    """The fine phantom of ``_dyadic_case`` and the report of its refine."""
+    vol, lms = generate_phantom(PhantomSpec(seed=3, spacing=0.5))
+    return vol, evaluate_pair(_dyadic_case()[2], vol, lms)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(dx=st.tuples(*[st.integers(-160, 160).map(lambda n: n / 4)] * 3))
+@example(dx=(32.0, 0.0, 0.0))
+@example(dx=(-40.0, 0.0, 0.0))
+@example(dx=(16.0, -40.0, 40.0))
+def test_refine_and_evaluate_ignore_where_the_subject_sits(dx):
+    """Moving the volume and its landmarks by dx mm, a dyadic step along
+    each world axis, changes no refined byte and no report row: medial
+    and lateral are measured from the subject's separator, not from
+    world x = 0, which the moved subject may lie wholly on one side of."""
+    vol12, lms, canonical = _dyadic_case()
+    gt, report = _dyadic_report()
+    moved = LandmarkSet({i: lms[i] + dx for i in lms.ids})
+    pred = refine_full(_translated(vol12, dx), moved)
+    assert pred.data.tobytes() == canonical.data.tobytes()
+    got = evaluate_pair(pred, _translated(gt, dx), moved)
+    assert [astuple(r)[:4] for r in got.rows] == [astuple(r)[:4] for r in report.rows]
+    assert got.skipped == report.skipped
+    assert np.allclose([r.value for r in got.rows], [r.value for r in report.rows],
+                       rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("base", ["C", "F"])

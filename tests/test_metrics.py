@@ -234,11 +234,11 @@ class TestPasd:
     def test_lateral_surface(self):
         spec = _spec("NAcc", "lateral")
         data = np.zeros((6, 1, 2), dtype=np.int16)
-        data[0:3, 0, :] = 6
-        data[3:6, 0, :] = 10
+        data[0:3, 0, :] = 10  # left putamen lateral (-x) of the accumbens
+        data[3:6, 0, :] = 6
         gt = make_volume(data)
         pts = extract_protocol_surface(gt, spec, LandmarkSet({}), "left")
-        assert sorted(map(tuple, pts)) == [(2.0, 0.0, 0.0), (2.0, 0.0, 1.0)]
+        assert sorted(map(tuple, pts)) == [(3.0, 0.0, 0.0), (3.0, 0.0, 1.0)]
         assert pasd(gt, gt, spec, LandmarkSet({}), "left") == 0.0
 
     def test_exclusive_boundary_shifts_one_slice(self):

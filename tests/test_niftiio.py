@@ -461,6 +461,20 @@ def test_singular_affine_rejected():
         Volume(np.zeros((2, 2, 2), dtype=np.int16), aff)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 3), (1, 1)], ids=["translation", "linear"])
+def test_non_finite_affine_rejected(entry, value):
+    """A NaN or infinite affine entry is refused when the volume is built,
+    naming the affine, not later in a world conversion."""
+    aff = np.eye(4)
+    aff[entry] = value
+    data = np.zeros((2, 2, 2), dtype=np.int16)
+    with pytest.raises(ValueError, match="affine is not finite"):
+        Volume(data, aff)
+    with pytest.raises(ValueError, match="affine is not finite"):
+        Volume._own(data.copy(), aff)
+
+
 def test_round_half_away():
     vals = np.array([0.5, 1.5, -0.5, -1.5, 2.49, -2.49, 3.51])
     assert round_half_away(vals).tolist() == [1, 2, -1, -2, 2, -2, 4]

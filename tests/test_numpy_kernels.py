@@ -9,8 +9,6 @@ Each input is drawn in C order, in F order and as the strided
 layouts that refinement hands these kernels.
 """
 
-from unittest import mock
-
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
@@ -18,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hoarefine import nifti
 from hoarefine.nifti import _erode_6, _label_scan
 from hoarefine.refine import _components_4, _dilate_3x3
 
@@ -155,10 +152,9 @@ scan_maps = hnp.array_shapes(min_dims=3, max_dims=3, min_side=0, max_side=9).fla
 @example(data=np.arange(30, 33, dtype=np.int32).reshape(3, 1, 1), layout="C")
 @example(data=np.arange(0, 32, dtype=np.uint8).reshape(4, 2, 4), layout="view")
 def test_label_scan_matches_brute_force(data, layout):
-    """The scan, which walks the two halves of the slowest-varying memory
-    axis (on two threads from ``_THREAD_VOXELS`` voxels, here forced down
-    to 0, and on one below), equals whole-array reductions in every
-    layout, an empty half included."""
+    """The scan, which walks 2-plane slabs of the slowest-varying memory
+    axis, equals whole-array reductions in every layout, an empty axis
+    and a last slab of one plane included."""
     if layout == "flipped":
         held = _held_as(data, "F")[::-1, :, ::-1]
         data = data[::-1, :, ::-1]
@@ -168,16 +164,14 @@ def test_label_scan_matches_brute_force(data, layout):
     else:
         held = _held_as(data, layout)
     want_lo, want_hi, want = _brute_scan(data)
-    for limit in (nifti._THREAD_VOXELS, 0):
-        with mock.patch.object(nifti, "_THREAD_VOXELS", limit):
-            lo, hi, words = _label_scan(held)
-        assert (lo, hi) == (want_lo, want_hi)
-        if want is None:
-            assert words is None
-            continue
-        assert [w.dtype for w in words] == [np.dtype(np.uint32)] * 3
-        assert all(not w.flags.writeable for w in words)
-        assert [w.tolist() for w in words] == [w.tolist() for w in want]
+    lo, hi, words = _label_scan(held)
+    assert (lo, hi) == (want_lo, want_hi)
+    if want is None:
+        assert words is None
+        return
+    assert [w.dtype for w in words] == [np.dtype(np.uint32)] * 3
+    assert all(not w.flags.writeable for w in words)
+    assert [w.tolist() for w in words] == [w.tolist() for w in want]
 
 
 @PROPERTY
